@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpssn_core::algorithm::QueryOptions;
-use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget};
 use gpssn_index::PivotSelectConfig;
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 
@@ -117,10 +117,10 @@ fn bench_refinement_modes(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("exact_enumeration", |b| b.iter(|| black_box(eng.query(&q))));
     group.bench_function("subset_sampling_32", |b| {
-        b.iter(|| black_box(eng.query_approximate(&q, 32, 7)))
+        b.iter(|| black_box(eng.try_query_approximate(&q, 32, 7, &QueryBudget::unlimited())))
     });
     group.bench_function("subset_sampling_128", |b| {
-        b.iter(|| black_box(eng.query_approximate(&q, 128, 7)))
+        b.iter(|| black_box(eng.try_query_approximate(&q, 128, 7, &QueryBudget::unlimited())))
     });
     group.bench_function("tight_mbr_test", |b| {
         let opts = QueryOptions {

@@ -9,7 +9,7 @@
 //! `Instant::now()` reads execute. See BENCH.md for recorded numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget};
+use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions};
 use gpssn_ssn::DatasetKind;
 use std::time::Duration;
 
@@ -42,7 +42,12 @@ fn bench_budget_overhead(c: &mut Criterion) {
         ("deadline", &deadline),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(eng.try_query(&q, budget).unwrap()));
+            b.iter(|| {
+                black_box(
+                    eng.try_query_with_options(&q, &QueryOptions::default(), budget)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();

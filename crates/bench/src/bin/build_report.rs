@@ -22,10 +22,8 @@
 //!   the simulation cannot attribute (STR packing, node aggregation,
 //!   partition bookkeeping) are counted fully sequential — the model
 //!   *understates* the real speedup. On a machine with ≥`threads` real
-//!   cores the simulated makespan is the wall clock this single-core
-//!   container cannot measure directly (same discipline as
-//!   `serve_report` / BENCH.md §serve); measured wall clocks are still
-//!   reported for honesty.
+//!   cores the simulated makespan is the wall clock; measured wall
+//!   clocks are still reported for honesty.
 //!
 //! ```text
 //! cargo run --release -p gpssn-bench --bin build_report -- \

@@ -322,14 +322,20 @@ fn main() {
         std::process::exit(code);
     }
     if top_k > 1 {
-        let out = match engine.try_query_top_k(&q, top_k, &budget) {
+        let out = match engine.try_query_top_k(&q, top_k, &opts, &budget) {
             Ok(out) => out,
             Err(e) => {
                 emit_telemetry(&sinks, &engine, &q, "top_k", None);
                 fail(&e)
             }
         };
-        emit_telemetry(&sinks, &engine, &q, "top_k", None);
+        // The log line reports the best of the k answers.
+        let best = QueryOutcome {
+            answer: out.answers.first().cloned(),
+            completion: out.completion.clone(),
+            metrics: out.metrics.clone(),
+        };
+        emit_telemetry(&sinks, &engine, &q, "top_k", Some(&best));
         let code = report_completion(&out.completion);
         if out.answers.is_empty() {
             println!("no feasible answers");

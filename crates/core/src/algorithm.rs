@@ -142,25 +142,6 @@ pub enum DistanceBackend {
     Ch,
 }
 
-/// How a batch of queries is distributed over worker threads.
-///
-/// Both schedules answer every query by the same single-query path, so
-/// per-slot results are bit-identical to each other and to the
-/// sequential sweep; only wall-clock and worker utilization differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchSchedule {
-    /// Workers claim one query at a time off a shared atomic cursor.
-    /// Skewed per-query costs (exactly what the paper's pruning lemmas
-    /// induce: one large-radius query can cost orders of magnitude more
-    /// than its neighbors) no longer strand cheap queries behind an
-    /// overloaded worker. The default.
-    #[default]
-    WorkStealing,
-    /// The legacy schedule: `ceil(n/threads)` contiguous chunks, one per
-    /// worker. Kept for A/B comparison in tests and `serve_report`.
-    StaticChunk,
-}
-
 /// What to serve when the exact pipeline cannot produce an answer.
 ///
 /// The engine degrades along a fixed ladder of rungs, each strictly
@@ -215,7 +196,8 @@ pub struct QueryOptions {
     /// a tripped budget parallel workers may get further before the
     /// trip, so the anytime answer can legitimately differ (its gap
     /// bound stays sound). Budgets remain global: all workers charge
-    /// the same meter.
+    /// the same meter. Top-k and sampled queries always verify on the
+    /// calling thread.
     pub refine_threads: usize,
     /// Oracle serving refinement-time `dist_RN` rows and columns. The
     /// default [`DistanceBackend::Ch`] uses the road index's contraction
@@ -465,7 +447,7 @@ impl<'a> GpSsnEngine<'a> {
     }
 
     /// Runs a query with default options, panicking on invalid input.
-    /// Prefer [`GpSsnEngine::try_query`] in serving paths.
+    /// Prefer [`GpSsnEngine::try_query_with_options`] in serving paths.
     pub fn query(&self, q: &GpSsnQuery) -> QueryOutcome {
         self.query_with_options(q, &QueryOptions::default())
     }
@@ -476,7 +458,7 @@ impl<'a> GpSsnEngine<'a> {
         unwrap_outcome(self.try_query_with_options(q, opts, &QueryBudget::unlimited()))
     }
 
-    /// Fallible query with default options under a resource budget.
+    /// Fallible exact query under a resource budget.
     ///
     /// Validation failures return `Err` ([`GpSsnError::InvalidQuery`],
     /// [`GpSsnError::UnknownUser`], [`GpSsnError::RadiusOutOfIndexRange`],
@@ -485,22 +467,180 @@ impl<'a> GpSsnEngine<'a> {
     /// [`QueryOutcome::completion`] — the anytime contract: the best
     /// verified answer so far plus an optimality-gap bound, or
     /// [`Completion::Failed`] when nothing was verified in time.
-    pub fn try_query(
-        &self,
-        q: &GpSsnQuery,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, GpSsnError> {
-        self.try_query_with_options(q, &QueryOptions::default(), budget)
-    }
-
-    /// Fallible query with explicit options under a resource budget. See
-    /// [`GpSsnEngine::try_query`] for the error/anytime contract.
     pub fn try_query_with_options(
         &self,
         q: &GpSsnQuery,
         opts: &QueryOptions,
         budget: &QueryBudget,
     ) -> Result<QueryOutcome, GpSsnError> {
+        let (answers, completion, metrics) = self.run(q, Mode::Exact, opts, budget)?;
+        Ok(QueryOutcome {
+            answer: answers.into_iter().next(),
+            completion,
+            metrics,
+        })
+    }
+
+    /// Panic-isolated parallel batch under a shared per-query budget.
+    ///
+    /// Each query is answered as by
+    /// [`GpSsnEngine::try_query_with_options`] — under
+    /// [`DegradationPolicy::Ladder`] refinement faults degrade answers
+    /// down the ladder instead of surfacing as `Internal` errors in the
+    /// slot. `threads = 0` means available parallelism and larger counts
+    /// are clamped to the batch size. A panic inside one query is caught
+    /// at that query's boundary and surfaced as [`GpSsnError::Internal`]
+    /// in its slot — the rest of the batch still completes, in input
+    /// order, and every slot is bit-identical to answering the queries
+    /// one by one.
+    // Audited expect: the workers fill every slot exactly once before
+    // the scope exits (each index is claimed by exactly one worker); an
+    // empty slot is unreachable.
+    #[allow(clippy::expect_used)]
+    pub fn try_query_batch(
+        &self,
+        queries: &[GpSsnQuery],
+        threads: usize,
+        opts: &QueryOptions,
+        budget: &QueryBudget,
+    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
+        let threads = resolve_threads(threads, queries.len());
+        let _capture = crate::panic_capture::capture_scope();
+        let run_one = |q: &GpSsnQuery| run_isolated(self, q, opts, budget);
+        if threads == 1 || queries.len() <= 1 {
+            return queries.iter().map(run_one).collect();
+        }
+        // Each worker accumulates metrics into a private registry; the
+        // merge below folds them into the base registry in worker order.
+        // Counter and histogram merges are element-wise additions, so
+        // batch totals are reproducible under any thread interleaving
+        // (see `Obs::with_registry`).
+        let obs = self.obs().filter(|o| o.metrics_on());
+        let worker_regs: Vec<Arc<gpssn_obs::Registry>> = (0..threads)
+            .map(|_| Arc::new(gpssn_obs::Registry::new()))
+            .collect();
+        let mut slots: Vec<Option<Result<QueryOutcome, GpSsnError>>> =
+            (0..queries.len()).map(|_| None).collect();
+        // Work stealing: a shared cursor hands out one query at a time,
+        // so a worker stuck on a skewed query (large radius, dense
+        // social neighborhood) never strands a tail of cheap queries
+        // behind it — the other workers drain them.
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = worker_regs
+                .iter()
+                .map(|reg| {
+                    let reg = Arc::clone(reg);
+                    let (cursor, run_one) = (&cursor, &run_one);
+                    scope.spawn(move || {
+                        let mut claimed = Vec::new();
+                        let mut run = || loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= queries.len() {
+                                break;
+                            }
+                            claimed.push((i, run_one(&queries[i])));
+                        };
+                        if obs.is_some() {
+                            Obs::with_registry(reg, &mut run);
+                        } else {
+                            run();
+                        }
+                        claimed
+                    })
+                })
+                .collect();
+            for h in handles {
+                let claimed = h
+                    .join()
+                    .expect("batch workers never panic: every query is panic-isolated");
+                for (i, r) in claimed {
+                    debug_assert!(slots[i].is_none(), "query {i} claimed twice");
+                    slots[i] = Some(r);
+                }
+            }
+        });
+        if let Some(o) = obs {
+            for reg in &worker_regs {
+                o.base_registry().merge_from(reg);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("every slot filled"))
+            .collect()
+    }
+
+    /// Approximate query using the paper's future-work *subset sampling*
+    /// (Section 5): the index traversal is unchanged, but refinement
+    /// draws `samples_per_center` random connected groups instead of
+    /// enumerating, from one RNG seeded with `seed`. Any returned answer
+    /// satisfies Definition 5 exactly; it may be suboptimal (or missed).
+    /// Same error/anytime contract as
+    /// [`GpSsnEngine::try_query_with_options`] (sampled draws count
+    /// against `max_groups_enumerated`).
+    pub fn try_query_approximate(
+        &self,
+        q: &GpSsnQuery,
+        samples_per_center: usize,
+        seed: u64,
+        budget: &QueryBudget,
+    ) -> Result<QueryOutcome, GpSsnError> {
+        let mode = Mode::Sampled {
+            samples: samples_per_center,
+            seed,
+        };
+        let (answers, completion, metrics) = self.run(q, mode, &QueryOptions::default(), budget)?;
+        Ok(QueryOutcome {
+            answer: answers.into_iter().next(),
+            completion,
+            metrics,
+        })
+    }
+
+    /// Top-`k` GP-SSN under a resource budget: the `k` best answers over
+    /// *distinct candidate centers* (each center contributes its optimal
+    /// feasible group), sorted by ascending `maxdist`. `k = 1` coincides
+    /// with the exact query's optimum. `opts` applies as given except
+    /// that `δ` pruning is off (`δ` bounds the best answer, not the
+    /// `k`-th). Under truncation the returned answers are all verified;
+    /// [`TopKOutcome::completion`] carries the optimality gap of the
+    /// `k`-th slot (`f64::INFINITY` when fewer than `k` answers were
+    /// verified).
+    pub fn try_query_top_k(
+        &self,
+        q: &GpSsnQuery,
+        k: usize,
+        opts: &QueryOptions,
+        budget: &QueryBudget,
+    ) -> Result<TopKOutcome, GpSsnError> {
+        if k == 0 {
+            return Err(GpSsnError::InvalidQuery("k must be positive".to_string()));
+        }
+        let opts = QueryOptions {
+            use_delta_pruning: false,
+            ..opts.clone()
+        };
+        let (answers, completion, metrics) = self.run(q, Mode::TopK(k), &opts, budget)?;
+        Ok(TopKOutcome {
+            answers,
+            completion,
+            metrics,
+        })
+    }
+
+    /// The one query pipeline behind every public entry point: validate,
+    /// social pruning, the road traversal and one center loop
+    /// ([`GpSsnEngine::search`]), the ladder's sampling rung, then the
+    /// per-query metrics. Returns the kept answers in ascending
+    /// `maxdist` (at most one outside top-`k` mode).
+    fn run(
+        &self,
+        q: &GpSsnQuery,
+        mode: Mode,
+        opts: &QueryOptions,
+        budget: &QueryBudget,
+    ) -> Result<(Vec<GpSsnAnswer>, Completion, QueryMetrics), GpSsnError> {
         self.validate_query(q)?;
         self.validate_radius(q)?;
         self.check_static_feasibility(q)?;
@@ -521,20 +661,20 @@ impl<'a> GpSsnEngine<'a> {
         let candidates = gpssn_obs::phase(obs, "prune_social", || {
             self.social_phase(q, opts, &io, &mut stats)
         });
-        let (mut answer, delta, mut completion) =
-            self.road_phase(q, opts, &candidates, &io, &mut stats, &meter, obs);
+        let (mut answers, delta, mut completion) =
+            self.search(q, mode, opts, &candidates, &io, &mut stats, &meter, obs);
 
-        // Bottom rung of the degradation ladder: the exact pipeline
-        // failed outright, so spend a small fresh budget on the sampling
+        // Bottom rung of the degradation ladder: the pipeline failed
+        // outright, so spend a small fresh budget on the sampling
         // estimator before reporting failure.
         if opts.degradation == DegradationPolicy::Ladder
-            && answer.is_none()
+            && answers.is_empty()
             && matches!(completion, Completion::Failed(_))
         {
             if let Some(ans) = gpssn_obs::phase(obs, "degrade_sampling", || {
                 self.sampling_rescue(q, opts, &candidates, &io)
             }) {
-                answer = Some(ans);
+                answers.push(ans);
                 completion = Completion::DegradedSampling;
             }
         }
@@ -546,13 +686,16 @@ impl<'a> GpSsnEngine<'a> {
         }
         stats.candidate_users = candidates.len();
 
-        let out = QueryOutcome {
-            answer,
-            completion,
-            metrics: finish_metrics(start, &io, &meter, stats),
-        };
-        record_query(obs, "exact", &out, &meter);
-        Ok(out)
+        let metrics = finish_metrics(start, &io, &meter, stats);
+        record_query(
+            obs,
+            mode.path(),
+            !answers.is_empty(),
+            &completion,
+            &metrics,
+            &meter,
+        );
+        Ok((answers, completion, metrics))
     }
 
     /// `Err(InvalidQuery)` / `Err(UnknownUser)` for malformed parameters.
@@ -605,410 +748,13 @@ impl<'a> GpSsnEngine<'a> {
         Ok(())
     }
 
-    /// Answers a batch of queries in parallel on `threads` OS threads
-    /// (the engine is immutable after construction, so queries share the
-    /// indexes freely). `threads = 0` uses the machine's available
-    /// parallelism, and thread counts beyond the batch size are clamped.
-    /// Results come back in input order. Errors panic per the legacy
-    /// contract; prefer [`GpSsnEngine::try_query_batch`] in serving
-    /// paths.
-    pub fn query_batch(&self, queries: &[GpSsnQuery], threads: usize) -> Vec<QueryOutcome> {
-        self.try_query_batch(queries, threads, &QueryBudget::unlimited())
-            .into_iter()
-            .map(unwrap_outcome)
-            .collect()
-    }
-
-    /// Panic-isolated parallel batch under a shared per-query budget.
-    ///
-    /// Each query is answered as by [`GpSsnEngine::try_query`];
-    /// `threads = 0` means available parallelism and larger counts are
-    /// clamped to the batch size. A panic inside one query is caught at
-    /// that query's boundary and surfaced as [`GpSsnError::Internal`] in
-    /// its slot — the rest of the batch still completes, in input order.
-    pub fn try_query_batch(
-        &self,
-        queries: &[GpSsnQuery],
-        threads: usize,
-        budget: &QueryBudget,
-    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
-        self.try_query_batch_with_options(queries, threads, &QueryOptions::default(), budget)
-    }
-
-    /// [`GpSsnEngine::try_query_batch`] with explicit per-query options —
-    /// notably [`QueryOptions::degradation`]: under
-    /// [`DegradationPolicy::Ladder`] refinement faults degrade answers
-    /// down the ladder instead of surfacing as `Internal` errors in the
-    /// slot. Queries are scheduled by work stealing (see
-    /// [`BatchSchedule::WorkStealing`]); answers are bit-identical to
-    /// the sequential path either way.
-    pub fn try_query_batch_with_options(
-        &self,
-        queries: &[GpSsnQuery],
-        threads: usize,
-        opts: &QueryOptions,
-        budget: &QueryBudget,
-    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
-        self.try_query_batch_scheduled(queries, threads, opts, budget, BatchSchedule::WorkStealing)
-    }
-
-    /// [`GpSsnEngine::try_query_batch_with_options`] with an explicit
-    /// [`BatchSchedule`]. The static-chunk schedule exists for A/B
-    /// comparison (equivalence tests, the `serve_report` bench); serving
-    /// paths should let the default work stealing balance skewed
-    /// per-query costs.
-    // Audited expect: the workers fill every slot exactly once before
-    // the scope exits (each index is claimed by exactly one worker); an
-    // empty slot is unreachable.
-    #[allow(clippy::expect_used)]
-    pub fn try_query_batch_scheduled(
-        &self,
-        queries: &[GpSsnQuery],
-        threads: usize,
-        opts: &QueryOptions,
-        budget: &QueryBudget,
-        schedule: BatchSchedule,
-    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
-        let threads = resolve_threads(threads, queries.len());
-        let _capture = crate::panic_capture::capture_scope();
-        let run_one = |q: &GpSsnQuery| -> Result<QueryOutcome, GpSsnError> {
-            run_isolated(self, q, opts, budget)
-        };
-        if threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(run_one).collect();
-        }
-        // Each worker accumulates metrics into a private registry; the
-        // merge below folds them into the base registry in worker order.
-        // Counter and histogram merges are element-wise additions, so
-        // batch totals are reproducible under any thread interleaving
-        // and any schedule (see `Obs::with_registry`).
-        let obs = self.obs().filter(|o| o.metrics_on());
-        let worker_regs: Vec<Arc<gpssn_obs::Registry>> = (0..threads)
-            .map(|_| Arc::new(gpssn_obs::Registry::new()))
-            .collect();
-        let mut slots: Vec<Option<Result<QueryOutcome, GpSsnError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let run_one = &run_one;
-        let redirect = obs.is_some();
-        // Work stealing: a shared cursor hands out one query at a time,
-        // so a worker stuck on a skewed query (large radius, dense
-        // social neighborhood) never strands a tail of cheap queries
-        // behind it — the other workers drain them. Static chunking
-        // precomputes contiguous ranges instead.
-        let cursor = AtomicUsize::new(0);
-        let chunk = queries.len().div_ceil(threads);
-        let spawned = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let reg = Arc::clone(&worker_regs[t]);
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut claimed: Vec<(usize, Result<QueryOutcome, GpSsnError>)> =
-                            Vec::new();
-                        let mut run = || match schedule {
-                            BatchSchedule::WorkStealing => loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= queries.len() {
-                                    break;
-                                }
-                                claimed.push((i, run_one(&queries[i])));
-                            },
-                            BatchSchedule::StaticChunk => {
-                                let lo = (t * chunk).min(queries.len());
-                                let hi = ((t + 1) * chunk).min(queries.len());
-                                for (i, q) in queries.iter().enumerate().take(hi).skip(lo) {
-                                    claimed.push((i, run_one(q)));
-                                }
-                            }
-                        };
-                        if redirect {
-                            Obs::with_registry(reg, &mut run);
-                        } else {
-                            run();
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            let spawned = handles.len();
-            for h in handles {
-                let claimed = h
-                    .join()
-                    .expect("batch workers never panic: every query is panic-isolated");
-                for (i, r) in claimed {
-                    debug_assert!(slots[i].is_none(), "query {i} claimed twice");
-                    slots[i] = Some(r);
-                }
-            }
-            spawned
-        });
-        // One registry per spawned worker, no more, no less — the old
-        // static-chunk path derived the two counts independently (both
-        // from `div_ceil`), which left ghost registries when trailing
-        // chunks were empty.
-        assert_eq!(
-            worker_regs.len(),
-            spawned,
-            "metrics registry per spawned worker"
-        );
-        if let Some(o) = obs {
-            for reg in &worker_regs {
-                o.base_registry().merge_from(reg);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
-    }
-
-    /// Approximate query using the paper's future-work *subset sampling*
-    /// (Section 5): the index traversal is unchanged, but refinement
-    /// draws `samples_per_center` random connected groups instead of
-    /// enumerating. Any returned answer satisfies Definition 5 exactly;
-    /// it may be suboptimal (or missed) — see the ablation benches for
-    /// the quality/time trade-off.
-    pub fn query_approximate(
-        &self,
-        q: &GpSsnQuery,
-        samples_per_center: usize,
-        seed: u64,
-    ) -> QueryOutcome {
-        unwrap_outcome(self.try_query_approximate(
-            q,
-            samples_per_center,
-            seed,
-            &QueryBudget::unlimited(),
-        ))
-    }
-
-    /// Fallible [`GpSsnEngine::query_approximate`] under a resource
-    /// budget; same error/anytime contract as [`GpSsnEngine::try_query`]
-    /// (sampled draws count against `max_groups_enumerated`).
-    pub fn try_query_approximate(
-        &self,
-        q: &GpSsnQuery,
-        samples_per_center: usize,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, GpSsnError> {
-        self.validate_query(q)?;
-        self.validate_radius(q)?;
-        self.check_static_feasibility(q)?;
-        let meter = BudgetState::new(budget);
-        let obs = self.obs();
-        let _qspan = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("query"));
-        let start = Instant::now();
-        let io = IoCounter::new();
-        let opts = QueryOptions::default();
-        let mut stats = PruningStats {
-            users_total: self.ssn.social().num_users(),
-            pois_total: self.ssn.pois().len(),
-            ..Default::default()
-        };
-        let candidates = gpssn_obs::phase(obs, "prune_social", || {
-            self.social_phase(q, &opts, &io, &mut stats)
-        });
-        let (mut centers, mut outstanding) = gpssn_obs::phase(obs, "prune_road", || {
-            self.collect_centers(q, &opts, &candidates, &io, &mut stats, &meter)
-        });
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut best: Option<GpSsnAnswer> = None;
-        let mut best_val = f64::INFINITY;
-        gpssn_obs::phase(obs, "sample", || {
-            for &(lb, center) in &centers {
-                if lb >= best_val {
-                    break;
-                }
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-                let filtered = self.filter_candidates_for_center(&candidates, center, best_val);
-                if let Some(ans) = crate::sampling::verify_center_sampled(
-                    self.ssn,
-                    q,
-                    &filtered,
-                    center,
-                    best_val,
-                    samples_per_center,
-                    &mut rng,
-                    &meter,
-                ) {
-                    best_val = ans.maxdist;
-                    best = Some(ans);
-                }
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-            }
-        });
-        let completion = completion_of(&meter, best_val, outstanding);
-        let out = QueryOutcome {
-            answer: best,
-            completion,
-            metrics: finish_metrics(start, &io, &meter, stats),
-        };
-        record_query(obs, "approximate", &out, &meter);
-        Ok(out)
-    }
-
-    /// Top-`k` GP-SSN: the `k` best answers over *distinct candidate
-    /// centers* (each center contributes its optimal feasible group),
-    /// sorted by ascending `maxdist`. `k = 1` coincides with
-    /// [`GpSsnEngine::query`]'s optimum.
-    pub fn query_top_k(&self, q: &GpSsnQuery, k: usize) -> Vec<GpSsnAnswer> {
-        assert!(k >= 1, "k must be positive");
-        match self.try_query_top_k(q, k, &QueryBudget::unlimited()) {
-            Ok(out) => out.answers,
-            Err(GpSsnError::Infeasible { .. }) => Vec::new(),
-            Err(e) => panic_like_legacy(e),
-        }
-    }
-
-    /// Fallible top-`k` under a resource budget. Under truncation the
-    /// returned answers are all verified; [`TopKOutcome::completion`]
-    /// carries the optimality gap of the `k`-th slot
-    /// (`f64::INFINITY` when fewer than `k` answers were verified).
-    // Audited expects: `best_k.last()` is only read behind explicit
-    // `best_k.len() >= k` (k >= 1) guards.
-    #[allow(clippy::expect_used)]
-    pub fn try_query_top_k(
-        &self,
-        q: &GpSsnQuery,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<TopKOutcome, GpSsnError> {
-        if k == 0 {
-            return Err(GpSsnError::InvalidQuery("k must be positive".to_string()));
-        }
-        self.validate_query(q)?;
-        self.validate_radius(q)?;
-        self.check_static_feasibility(q)?;
-        let meter = BudgetState::new(budget);
-        let obs = self.obs();
-        let _qspan = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("query"));
-        let io = IoCounter::new();
-        let opts = QueryOptions {
-            use_delta_pruning: false,
-            ..Default::default()
-        };
-        let mut stats = PruningStats::default();
-        let candidates = gpssn_obs::phase(obs, "prune_social", || {
-            self.social_phase(q, &opts, &io, &mut stats)
-        });
-        let (mut centers, mut outstanding) = gpssn_obs::phase(obs, "prune_road", || {
-            self.collect_centers(q, &opts, &candidates, &io, &mut stats, &meter)
-        });
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let refine_span = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("refine"));
-        let span_parent = refine_span.as_ref().map_or(0, |s| s.id());
-        let refine_started = obs.map(|_| Instant::now());
-        let mut ws = DijkstraWorkspace::new();
-        let mut chws = gpssn_graph::ChSearch::new();
-        let mut ctx = VerifyContext {
-            ws: &mut ws,
-            ch: self.ch_for(&opts).map(|oracle| ChBackend {
-                oracle,
-                search: &mut chws,
-            }),
-            cache: self.distance_cache.as_ref(),
-            breaker: Some(&self.ch_breaker),
-            budget: &meter,
-            obs,
-            span_parent,
-        };
-        let mut best_k: Vec<GpSsnAnswer> = Vec::new();
-        for &(lb, center) in &centers {
-            let bound = if best_k.len() < k {
-                f64::INFINITY
-            } else {
-                best_k.last().expect("non-empty").maxdist
-            };
-            if lb >= bound {
-                break;
-            }
-            if meter.is_tripped() {
-                outstanding = outstanding.min(lb);
-                break;
-            }
-            let Some(v) = verify_center_guarded(
-                self.ssn,
-                q,
-                &candidates,
-                center,
-                bound,
-                self.cfg.enumeration_cap,
-                &mut ctx,
-                opts.degradation,
-            ) else {
-                outstanding = outstanding.min(lb);
-                continue;
-            };
-            if let Some(ans) = v.answer {
-                if !best_k
-                    .iter()
-                    .any(|b| b.users == ans.users && b.pois == ans.pois)
-                {
-                    best_k.push(ans);
-                    best_k.sort_by(|a, b| a.maxdist.total_cmp(&b.maxdist));
-                    best_k.truncate(k);
-                }
-            }
-            if meter.is_tripped() {
-                outstanding = outstanding.min(lb);
-                break;
-            }
-        }
-        record_phase_ns(obs, "refine", refine_started);
-        drop(refine_span);
-        meter.note_workspace(
-            ws.resets() + chws.resets(),
-            ws.recycles() + chws.recycles(),
-            chws.unpacks(),
-        );
-        if let Some(o) = obs.filter(|o| o.metrics_on()) {
-            o.inc("gpssn_queries_total", &[("path", "top_k")], 1);
-        }
-        let kth_val = if best_k.len() >= k {
-            best_k.last().expect("non-empty").maxdist
-        } else {
-            f64::INFINITY
-        };
-        // Absorbed refinement faults count as cuts too: the faulted
-        // centers' lower bounds are folded into `outstanding`, so the
-        // exactness claim stays honest without a budget trip.
-        let cut = meter.trip().is_some() || meter.faults() > 0;
-        let completion = if !cut || outstanding >= kth_val {
-            Completion::Exact
-        } else if best_k.is_empty() {
-            Completion::Failed(cut_error(&meter))
-        } else if best_k.len() < k {
-            Completion::TruncatedWithGap(f64::INFINITY)
-        } else {
-            Completion::TruncatedWithGap(kth_val - outstanding)
-        };
-        Ok(TopKOutcome {
-            answers: best_k,
-            completion,
-        })
-    }
-
     /// The ladder's sampling rung: re-collects candidate centers under a
     /// small *fresh* work budget (the original meter is spent or
-    /// faulted) and draws random connected groups per center — the
-    /// paper's §5 future-work subset sampler. Any answer returned
-    /// satisfies Definition 5 exactly; only its optimality is unknown.
-    /// Deterministic: the RNG is seeded from the query user and the
-    /// budget is counted in work units, not wall-clock time. The
+    /// faulted) and runs the sampled center loop over the cheapest of
+    /// them — the paper's §5 future-work subset sampler. Any answer
+    /// returned satisfies Definition 5 exactly; only its optimality is
+    /// unknown. Deterministic: the RNG is seeded from the query user and
+    /// the budget is counted in work units, not wall-clock time. The
     /// sampler runs on plain Dijkstra, touching none of the CH or
     /// refinement machinery the faults came from.
     fn sampling_rescue(
@@ -1027,74 +773,72 @@ impl<'a> GpSsnEngine<'a> {
             deadline: None,
         };
         let meter = BudgetState::new(&budget);
-        let mut stats = PruningStats::default();
-        let (mut centers, _) = self.collect_centers(q, opts, candidates, io, &mut stats, &meter);
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0000 ^ u64::from(q.user));
-        let mut best: Option<GpSsnAnswer> = None;
-        let mut best_val = f64::INFINITY;
-        for &(lb, center) in centers.iter().take(RESCUE_CENTERS) {
-            if lb >= best_val || meter.is_tripped() {
-                break;
-            }
-            let filtered = self.filter_candidates_for_center(candidates, center, best_val);
-            if let Some(ans) = crate::sampling::verify_center_sampled(
-                self.ssn,
-                q,
-                &filtered,
-                center,
-                best_val,
-                RESCUE_SAMPLES,
-                &mut rng,
-                &meter,
-            ) {
-                best_val = ans.maxdist;
-                best = Some(ans);
-            }
-        }
-        best
+        let mode = Mode::Sampled {
+            samples: RESCUE_SAMPLES,
+            seed: 0x5EED_0000 ^ u64::from(q.user),
+        };
+        let mut scratch = PruningStats::default();
+        let mut t = self.traverse(q, mode, opts, candidates, io, &mut scratch, &meter);
+        t.centers.truncate(RESCUE_CENTERS);
+        let w =
+            CenterLoop::new(self, q, mode, candidates, &t.centers, opts, &meter, None).refine(0);
+        w.kept.into_iter().next().map(|(_, _, ans)| ans)
     }
 
-    /// Traversal-only road phase: collects candidate centers with their
-    /// lower bounds, without refinement (shared by the approximate and
-    /// top-k paths). δ-cut items are dropped, not deferred. The second
-    /// return value is the smallest lower bound left unexplored when the
-    /// budget tripped mid-traversal (`f64::INFINITY` otherwise).
-    fn collect_centers(
+    /// The road-side best-first traversal of `I_R` (Algorithm 2 lines
+    /// 11–28): candidate centers with their Eq. 17 lower bounds, sorted
+    /// by `(lb, id)` — ties broken by center id so every execution mode
+    /// agrees on the order (the parallel merge keys on it). A budget trip
+    /// stops the traversal; heap pops come out in ascending `lb`, so the
+    /// `lb` in hand bounds everything still queued.
+    ///
+    /// Sampled mode keeps the approximate path's traversal — the
+    /// element-wise-max `scand_ub` and δ-cut items *dropped* — so it sees
+    /// the same centers and its seeded draws stay reproducible. The
+    /// other modes use the tight `scand_ub` and *defer* δ-cut items to
+    /// the exactness fallback (see the module docs).
+    #[allow(clippy::too_many_arguments)]
+    fn traverse(
         &self,
         q: &GpSsnQuery,
+        mode: Mode,
         opts: &QueryOptions,
         candidates: &[UserId],
         io: &IoCounter,
         stats: &mut PruningStats,
         meter: &BudgetState,
-    ) -> (Vec<(f64, PoiId)>, f64) {
+    ) -> Traversal {
         let idx = &self.road_index;
         let uq_interest = self.ssn.social().interest(q.user);
         let uq_rn = self.social_index.user_rn_dists(q.user);
-        let h = idx.pivots().len();
-        let mut scand_ub = vec![f64::INFINITY; h];
-        for (k, s) in scand_ub.iter_mut().enumerate() {
-            *s = uq_rn[k];
-        }
-        for &u in candidates {
-            for (k, &d) in self.social_index.user_rn_dists(u).iter().enumerate() {
-                scand_ub[k] = scand_ub[k].max(d);
-            }
-        }
+        let sampled = matches!(mode, Mode::Sampled { .. });
+        let mut t = Traversal {
+            centers: Vec::new(),
+            deferred: Vec::new(),
+            delta: f64::INFINITY,
+            outstanding: f64::INFINITY,
+            scand_ub: self.scand_ub(q, candidates, sampled),
+        };
         let mut heap = MinHeap::new();
-        let mut centers = Vec::new();
-        let mut delta = f64::INFINITY;
-        let mut outstanding = f64::INFINITY;
         heap.push(0.0, Item::Node(idx.tree().root()));
         while let Some((lb, item)) = heap.pop() {
             meter.note_pop();
             if meter.is_tripped() {
-                outstanding = lb;
+                t.outstanding = lb;
                 break;
             }
-            if opts.use_delta_pruning && lb > delta {
-                break;
+            if opts.use_delta_pruning && lb > t.delta {
+                if sampled {
+                    break;
+                }
+                // Paper line 14: everything remaining is δ-cut. Keep for
+                // the exactness fallback; no I/O is spent on them now.
+                match item {
+                    Item::Node(n) => stats.pois_pruned_index += idx.node(n).poi_count,
+                    Item::Center(_) => stats.pois_pruned_object += 1,
+                }
+                t.deferred.push((lb, item));
+                continue;
             }
             match item {
                 Item::Node(n) => {
@@ -1105,18 +849,60 @@ impl<'a> GpSsnEngine<'a> {
                         n,
                         uq_interest,
                         uq_rn,
-                        &scand_ub,
+                        &t.scand_ub,
                         &mut heap,
-                        &mut centers,
-                        &mut delta,
+                        &mut t.centers,
+                        &mut t.delta,
                         stats,
-                        false,
+                        true,
                     );
                 }
-                Item::Center(o) => centers.push((lb, o)),
+                Item::Center(o) => t.centers.push((lb, o)),
             }
         }
-        (centers, outstanding)
+        t.centers
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        t
+    }
+
+    /// Eq. 16's `max_{u_j ∈ S}` term, per pivot. The loosest sound choice
+    /// is the element-wise max over all candidates (`loose`); otherwise
+    /// the much tighter per-pivot `(τ-1)`-th smallest companion distance
+    /// (the best-case group of u_q plus its τ-1 pivot-closest
+    /// candidates). That upper-bounds the objective of *some* τ-group —
+    /// not necessarily a feasible one, which is exactly why δ-cut items
+    /// go to the deferred list instead of being dropped (see module
+    /// docs).
+    fn scand_ub(&self, q: &GpSsnQuery, candidates: &[UserId], loose: bool) -> Vec<f64> {
+        let uq_rn = self.social_index.user_rn_dists(q.user);
+        if loose {
+            let mut ub = uq_rn.to_vec();
+            for &u in candidates {
+                for (k, &d) in self.social_index.user_rn_dists(u).iter().enumerate() {
+                    ub[k] = ub[k].max(d);
+                }
+            }
+            return ub;
+        }
+        let need = q.tau.saturating_sub(1);
+        (0..self.road_index.pivots().len())
+            .map(|k| {
+                let mut companions: Vec<f64> = candidates
+                    .iter()
+                    .filter(|&&u| u != q.user)
+                    .map(|&u| self.social_index.user_rn_dists(u)[k])
+                    .collect();
+                companions.sort_by(|a, b| a.total_cmp(b));
+                let kth = if need == 0 {
+                    0.0
+                } else if companions.len() < need {
+                    f64::INFINITY
+                } else {
+                    companions[need - 1]
+                };
+                uq_rn[k].max(kth)
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1239,238 +1025,138 @@ impl<'a> GpSsnEngine<'a> {
     // Phase 2: road traversal + refinement (Algorithm 2 lines 11–31)
     // ------------------------------------------------------------------
 
+    /// Algorithm 2 after social pruning: the road traversal, one center
+    /// loop over the candidate centers (cheapest lower bound first), then
+    /// the exactness fallback over δ-deferred items. Returns the kept
+    /// answers (ascending `maxdist`), the final `δ`, and the completion.
     #[allow(clippy::too_many_arguments)]
-    fn road_phase(
+    fn search(
         &self,
         q: &GpSsnQuery,
+        mode: Mode,
         opts: &QueryOptions,
         candidates: &[UserId],
         io: &IoCounter,
         stats: &mut PruningStats,
         meter: &BudgetState,
         obs: Option<&Obs>,
-    ) -> (Option<GpSsnAnswer>, f64, Completion) {
-        let idx = &self.road_index;
-        let uq_interest = self.ssn.social().interest(q.user);
-        let uq_rn = self.social_index.user_rn_dists(q.user);
-
+    ) -> (Vec<GpSsnAnswer>, f64, Completion) {
         // If no feasible user group exists at all (independent of R),
-        // every center is infeasible: answer None without touching I_R.
-        // `None` means the check itself ran out of budget — proceed; the
-        // traversal below trips on its first pop and degrades cleanly.
+        // every center is infeasible: answer nothing without touching
+        // I_R. `None` means the check itself ran out of budget — proceed;
+        // the traversal below trips on its first pop and degrades cleanly.
         if self.any_feasible_group(q, candidates, stats, meter) == Some(false) {
-            return (None, f64::INFINITY, Completion::Exact);
+            return (Vec::new(), f64::INFINITY, Completion::Exact);
         }
-
-        // Eq. 16's `max_{u_j ∈ S}` term. The loosest sound choice is the
-        // elementwise max over all candidates; we use a much tighter form:
-        // per pivot, the `(τ-1)`-th smallest companion distance (the
-        // best-case group of u_q plus its τ-1 pivot-closest candidates).
-        // This upper-bounds the objective of *some* τ-group — not
-        // necessarily a feasible one, which is exactly why δ-cut items go
-        // to the deferred list instead of being dropped (see module docs).
-        let h = idx.pivots().len();
-        let mut scand_ub = vec![0.0f64; h];
-        for k in 0..h {
-            let mut companions: Vec<f64> = candidates
-                .iter()
-                .filter(|&&u| u != q.user)
-                .map(|&u| self.social_index.user_rn_dists(u)[k])
-                .collect();
-            companions.sort_by(|a, b| a.total_cmp(b));
-            let need = q.tau.saturating_sub(1);
-            let kth = if need == 0 {
-                0.0
-            } else if companions.len() < need {
-                f64::INFINITY
-            } else {
-                companions[need - 1]
-            };
-            scand_ub[k] = uq_rn[k].max(kth);
-        }
-
-        let mut heap = MinHeap::new();
-        let mut deferred: Vec<(f64, Item)> = Vec::new();
-        let mut centers: Vec<(f64, PoiId)> = Vec::new();
-        let mut delta = f64::INFINITY;
-        // Smallest lower bound left unresolved when the budget trips:
-        // heap pops come out in ascending `lb`, so the lb in hand at the
-        // trip bounds everything still queued; deferred items and
-        // unverified centers fold in separately.
-        let mut outstanding = f64::INFINITY;
-        heap.push(0.0, Item::Node(idx.tree().root()));
-
-        gpssn_obs::phase(obs, "prune_road", || {
-            while let Some((lb, item)) = heap.pop() {
-                meter.note_pop();
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-                if opts.use_delta_pruning && lb > delta {
-                    // Paper line 14: everything remaining is δ-cut. Keep
-                    // for the exactness fallback; no I/O is spent on
-                    // them now.
-                    match item {
-                        Item::Node(n) => {
-                            stats.pois_pruned_index += idx.node(n).poi_count;
-                        }
-                        Item::Center(_) => {
-                            stats.pois_pruned_object += 1;
-                        }
-                    }
-                    deferred.push((lb, item));
-                    continue;
-                }
-                match item {
-                    Item::Node(n) => {
-                        self.touch(io, gpssn_index::io::page_ids::road(n));
-                        self.expand_node(
-                            q,
-                            opts,
-                            n,
-                            uq_interest,
-                            uq_rn,
-                            &scand_ub,
-                            &mut heap,
-                            &mut centers,
-                            &mut delta,
-                            stats,
-                            true,
-                        );
-                    }
-                    Item::Center(o) => centers.push((lb, o)),
-                }
-            }
+        let mut t = gpssn_obs::phase(obs, "prune_road", || {
+            self.traverse(q, mode, opts, candidates, io, stats, meter)
         });
 
-        // Refinement over surviving centers, cheapest lower bound first
-        // (ties broken by center id so every execution mode agrees on
-        // the order — the parallel merge below keys on it).
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if meter.is_tripped() {
-            // Traversal was cut short: every collected center is still
-            // unverified, so its lb is outstanding.
-            outstanding = centers.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
-        }
+        let centers = std::mem::take(&mut t.centers);
+        let cl = CenterLoop::new(self, q, mode, candidates, &centers, opts, meter, obs);
         // The refine span is opened by hand (not via `Obs::phase`)
-        // because its id seeds `VerifyContext::span_parent`, under which
+        // because its id seeds each worker's span parent, under which
         // parallel workers hang their cross-thread `verify_center` spans.
-        let refine_span = obs
+        let span = obs
             .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("refine"));
-        let span_parent = refine_span.as_ref().map_or(0, |s| s.id());
-        let refine_started = obs.map(|_| Instant::now());
-        let refined = self.refine_centers(q, opts, candidates, &centers, meter, obs, span_parent);
-        record_phase_ns(obs, "refine", refine_started);
-        drop(refine_span);
-        stats.pairs_refined += refined.pairs_refined;
-        outstanding = outstanding.min(refined.unresolved);
-        let mut best = refined.answer;
-        let mut best_val = refined.best_val;
+            .map(|o| o.tracer().span(mode.phase()));
+        let started = obs.map(|_| Instant::now());
+        let mut w = cl.refine(span.as_ref().map_or(0, |s| s.id()));
+        record_phase_ns(obs, mode.phase(), started);
+        drop(span);
 
-        // Exactness fallback: deferred items that still beat the best.
-        deferred.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut outstanding = t.outstanding;
         if meter.is_tripped() {
             // Deferred work never ran; anything cheaper than the best
             // verified answer is unresolved (folding in resolved items
             // only widens the reported gap — conservative, never wrong).
-            outstanding = deferred.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
-        } else {
-            let mut ws = DijkstraWorkspace::new();
-            let mut chws = gpssn_graph::ChSearch::new();
-            let fb_span = obs
+            outstanding = t.deferred.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
+        } else if !t.deferred.is_empty() {
+            let span = obs
                 .filter(|o| o.tracing_on())
                 .map(|o| o.tracer().span("refine_fallback"));
-            let fb_started = obs.map(|_| Instant::now());
-            let mut ctx = VerifyContext {
-                ws: &mut ws,
-                ch: self.ch_for(opts).map(|oracle| ChBackend {
-                    oracle,
-                    search: &mut chws,
-                }),
-                cache: self.distance_cache.as_ref(),
-                breaker: Some(&self.ch_breaker),
-                budget: meter,
-                obs,
-                span_parent: fb_span.as_ref().map_or(0, |s| s.id()),
-            };
-            let mut fallback = MinHeap::new();
-            for (lb, item) in deferred {
-                if lb < best_val {
-                    fallback.push(lb, item);
-                }
-            }
-            while let Some((lb, item)) = fallback.pop() {
-                if lb >= best_val {
-                    break;
-                }
-                meter.note_pop();
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-                match item {
-                    Item::Node(n) => {
-                        self.touch(io, gpssn_index::io::page_ids::road(n));
-                        let mut local_centers = Vec::new();
-                        self.expand_node(
-                            q,
-                            opts,
-                            n,
-                            uq_interest,
-                            uq_rn,
-                            &scand_ub,
-                            &mut fallback,
-                            &mut local_centers,
-                            &mut delta,
-                            stats,
-                            false,
-                        );
-                        for (clb, c) in local_centers {
-                            fallback.push(clb, Item::Center(c));
-                        }
-                    }
-                    Item::Center(center) => {
-                        let filtered =
-                            self.filter_candidates_for_center(candidates, center, best_val);
-                        let Some(v) = verify_center_guarded(
-                            self.ssn,
-                            q,
-                            &filtered,
-                            center,
-                            best_val,
-                            self.cfg.enumeration_cap,
-                            &mut ctx,
-                            opts.degradation,
-                        ) else {
-                            outstanding = outstanding.min(lb);
-                            continue;
-                        };
-                        stats.pairs_refined += v.subsets_examined;
-                        if let Some(ans) = v.answer {
-                            best_val = ans.maxdist;
-                            best = Some(ans);
-                        }
-                        if meter.is_tripped() {
-                            outstanding = outstanding.min(lb);
-                            break;
-                        }
-                    }
-                }
-            }
-            record_phase_ns(obs, "refine_fallback", fb_started);
-            drop(fb_span);
-            meter.note_workspace(
-                ws.resets() + chws.resets(),
-                ws.recycles() + chws.recycles(),
-                chws.unpacks(),
-            );
+            let started = obs.map(|_| Instant::now());
+            w.span_parent = span.as_ref().map_or(0, |s| s.id());
+            self.fallback(q, opts, &cl, &mut w, &mut t, io, stats);
+            record_phase_ns(obs, "refine_fallback", started);
         }
+        w.note_workspace(meter);
 
+        stats.pairs_refined += w.pairs;
         stats.candidate_pois = centers.len();
-        let completion = completion_of(meter, best_val, outstanding);
-        (best, delta, completion)
+        let answers: Vec<GpSsnAnswer> = w.kept.into_iter().map(|(_, _, ans)| ans).collect();
+        let completion = completion_of(meter, &answers, mode.keep(), outstanding.min(w.unresolved));
+        (answers, t.delta, completion)
+    }
+
+    /// Exactness fallback: the δ-deferred items whose `lb` still beats
+    /// the incumbent, expanded in ascending `lb` order, their centers
+    /// verified by the main loop's per-center step on `w`.
+    #[allow(clippy::too_many_arguments)]
+    fn fallback(
+        &self,
+        q: &GpSsnQuery,
+        opts: &QueryOptions,
+        cl: &CenterLoop<'_>,
+        w: &mut Worker,
+        t: &mut Traversal,
+        io: &IoCounter,
+        stats: &mut PruningStats,
+    ) {
+        let uq_interest = self.ssn.social().interest(q.user);
+        let uq_rn = self.social_index.user_rn_dists(q.user);
+        // Admission and the stop test use the incumbent itself (not the
+        // tie-admitting verification bound): the pushed set fixes the
+        // heap's shape, and the shape decides which of two equal-`lb`
+        // centers is verified first.
+        t.deferred.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut heap = MinHeap::new();
+        for &(lb, item) in &t.deferred {
+            if lb < cl.kth() {
+                heap.push(lb, item);
+            }
+        }
+        // Fallback centers rank after every main-loop center, so a tie
+        // never displaces the main loop's answer.
+        let mut index = cl.centers.len();
+        while let Some((lb, item)) = heap.pop() {
+            if lb >= cl.kth() {
+                break;
+            }
+            cl.meter.note_pop();
+            if cl.meter.is_tripped() {
+                w.unresolved = w.unresolved.min(lb);
+                break;
+            }
+            match item {
+                Item::Node(n) => {
+                    self.touch(io, gpssn_index::io::page_ids::road(n));
+                    let mut local_centers = Vec::new();
+                    self.expand_node(
+                        q,
+                        opts,
+                        n,
+                        uq_interest,
+                        uq_rn,
+                        &t.scand_ub,
+                        &mut heap,
+                        &mut local_centers,
+                        &mut t.delta,
+                        stats,
+                        false,
+                    );
+                    for (clb, c) in local_centers {
+                        heap.push(clb, Item::Center(c));
+                    }
+                }
+                Item::Center(center) => {
+                    if !cl.step(w, index, lb, center) {
+                        break;
+                    }
+                    index += 1;
+                }
+            }
+        }
     }
 
     /// Records an access to index page `page`: a physical read unless the
@@ -1566,279 +1252,6 @@ impl<'a> GpSsnEngine<'a> {
                     < best_val
             })
             .collect()
-    }
-
-    /// Verifies the sorted candidate centers and returns the best
-    /// feasible answer, dispatching on [`QueryOptions::refine_threads`].
-    /// `centers` must be sorted ascending by `(lb, id)`.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_centers(
-        &self,
-        q: &GpSsnQuery,
-        opts: &QueryOptions,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
-        meter: &BudgetState,
-        obs: Option<&Obs>,
-        span_parent: u64,
-    ) -> RefineOutcome {
-        let threads = resolve_threads(opts.refine_threads, centers.len());
-        let ch = self.ch_for(opts);
-        let policy = opts.degradation;
-        if threads <= 1 {
-            self.refine_centers_sequential(
-                q,
-                candidates,
-                centers,
-                ch,
-                meter,
-                obs,
-                span_parent,
-                policy,
-            )
-        } else {
-            self.refine_centers_parallel(
-                q,
-                candidates,
-                centers,
-                threads,
-                ch,
-                meter,
-                obs,
-                span_parent,
-                policy,
-            )
-        }
-    }
-
-    /// The classical Algorithm-2 refinement loop: ascending-`lb` sweep
-    /// with early termination once `lb` reaches the incumbent.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_centers_sequential(
-        &self,
-        q: &GpSsnQuery,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
-        ch: Option<&gpssn_graph::ChOracle>,
-        meter: &BudgetState,
-        obs: Option<&Obs>,
-        span_parent: u64,
-        policy: DegradationPolicy,
-    ) -> RefineOutcome {
-        let mut out = RefineOutcome::empty();
-        let mut ws = DijkstraWorkspace::new();
-        let mut chws = gpssn_graph::ChSearch::new();
-        let mut ctx = VerifyContext {
-            ws: &mut ws,
-            ch: ch.map(|oracle| ChBackend {
-                oracle,
-                search: &mut chws,
-            }),
-            cache: self.distance_cache.as_ref(),
-            breaker: Some(&self.ch_breaker),
-            budget: meter,
-            obs,
-            span_parent,
-        };
-        for &(lb, center) in centers {
-            if lb >= out.best_val {
-                break;
-            }
-            if meter.is_tripped() {
-                out.unresolved = out.unresolved.min(lb);
-                break;
-            }
-            let filtered = self.filter_candidates_for_center(candidates, center, out.best_val);
-            let Some(v) = verify_center_guarded(
-                self.ssn,
-                q,
-                &filtered,
-                center,
-                out.best_val,
-                self.cfg.enumeration_cap,
-                &mut ctx,
-                policy,
-            ) else {
-                out.unresolved = out.unresolved.min(lb);
-                continue;
-            };
-            out.pairs_refined += v.subsets_examined;
-            if let Some(ans) = v.answer {
-                out.best_val = ans.maxdist;
-                out.answer = Some(ans);
-            }
-            if meter.is_tripped() {
-                // This center's verification was itself cut short, so it
-                // remains unresolved (centers are sorted, so `lb` also
-                // bounds every center we will now skip).
-                out.unresolved = out.unresolved.min(lb);
-                break;
-            }
-        }
-        meter.note_workspace(
-            ws.resets() + chws.resets(),
-            ws.recycles() + chws.recycles(),
-            chws.unpacks(),
-        );
-        out
-    }
-
-    /// Parallel center refinement on scoped worker threads.
-    ///
-    /// Workers claim centers in ascending `(lb, id)` order off a shared
-    /// counter and verify against a shared monotone bound stored as
-    /// atomic f64 bits (bit patterns of non-negative floats order like
-    /// their values). Each verification uses [`bound_above`] of the
-    /// incumbent so *equal*-valued answers survive, and the final merge
-    /// picks the lexicographically smallest `(value, claim index)`.
-    ///
-    /// Under an untripped budget this reproduces the sequential answer
-    /// bit-for-bit: the sequential winner (the first center in sorted
-    /// order achieving the optimum `v`) always satisfies `lb <= v <=
-    /// incumbent`, so no worker ever skips it; its verification bound
-    /// always exceeds `v`, and [`verify_center`] returns a
-    /// bound-independent group; every other center either returns
-    /// nothing, a larger value, or an equal value at a larger index —
-    /// all of which lose the merge. A tripped budget may legitimately
-    /// differ from the sequential run (workers got further before the
-    /// trip); the reported gap stays sound because every claimed-but-
-    /// unfinished center folds its `lb` into `unresolved`.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_centers_parallel(
-        &self,
-        q: &GpSsnQuery,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
-        threads: usize,
-        ch: Option<&gpssn_graph::ChOracle>,
-        meter: &BudgetState,
-        obs: Option<&Obs>,
-        span_parent: u64,
-        policy: DegradationPolicy,
-    ) -> RefineOutcome {
-        let next = AtomicUsize::new(0);
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let worker = |claims: usize| {
-            let mut ws = DijkstraWorkspace::new();
-            let mut chws = gpssn_graph::ChSearch::new();
-            let mut ctx = VerifyContext {
-                ws: &mut ws,
-                ch: ch.map(|oracle| ChBackend {
-                    oracle,
-                    search: &mut chws,
-                }),
-                cache: self.distance_cache.as_ref(),
-                breaker: Some(&self.ch_breaker),
-                budget: meter,
-                obs,
-                span_parent,
-            };
-            let mut local: Option<(f64, usize, GpSsnAnswer)> = None;
-            let mut pairs = 0u64;
-            let mut unresolved = f64::INFINITY;
-            for _ in 0..claims {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= centers.len() {
-                    break;
-                }
-                let (lb, center) = centers[i];
-                if meter.is_tripped() {
-                    unresolved = unresolved.min(lb);
-                    break;
-                }
-                let bound = bound_above(f64::from_bits(best_bits.load(Ordering::Relaxed)));
-                if lb >= bound {
-                    break; // sorted: every unclaimed center is at least this costly
-                }
-                let filtered = self.filter_candidates_for_center(candidates, center, bound);
-                let Some(v) = verify_center_guarded(
-                    self.ssn,
-                    q,
-                    &filtered,
-                    center,
-                    bound,
-                    self.cfg.enumeration_cap,
-                    &mut ctx,
-                    policy,
-                ) else {
-                    unresolved = unresolved.min(lb);
-                    continue;
-                };
-                pairs += v.subsets_examined;
-                if let Some(ans) = v.answer {
-                    atomic_min_f64(&best_bits, ans.maxdist);
-                    let better = match &local {
-                        None => true,
-                        Some((bv, bi, _)) => (ans.maxdist, i) < (*bv, *bi),
-                    };
-                    if better {
-                        local = Some((ans.maxdist, i, ans));
-                    }
-                }
-                if meter.is_tripped() {
-                    // Conservative: this center may have completed, but
-                    // folding its lb in only widens the reported gap.
-                    unresolved = unresolved.min(lb);
-                    break;
-                }
-            }
-            meter.note_workspace(
-                ws.resets() + chws.resets(),
-                ws.recycles() + chws.recycles(),
-                chws.unpacks(),
-            );
-            (local, pairs, unresolved)
-        };
-        // Pilot: verify the cheapest center on the calling thread before
-        // fanning out, so workers start with an incumbent bound instead
-        // of all verifying their first claim against `∞` (which is
-        // redundant work the sequential sweep would have skipped). The
-        // pilot is simply claim 0 of the same protocol, so determinism
-        // is untouched.
-        let pilot = worker(1);
-        // If the query thread is buffering spans for tail sampling,
-        // workers adopt the same capture so their verification spans
-        // stay with (and live or die with) the query's trace.
-        let capture = gpssn_obs::trace::capture_handle();
-        let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _adopt = capture.as_ref().map(gpssn_obs::trace::adopt_capture);
-                        worker(usize::MAX)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Re-raise worker panics on the query thread so
-                    // the batch isolation layer sees them.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut out = RefineOutcome::empty();
-        let mut winner: Option<(f64, usize, GpSsnAnswer)> = None;
-        for (local, pairs, unresolved) in std::iter::once(pilot).chain(results) {
-            out.pairs_refined += pairs;
-            out.unresolved = out.unresolved.min(unresolved);
-            if let Some((v, i, ans)) = local {
-                let better = match &winner {
-                    None => true,
-                    Some((bv, bi, _)) => (v, i) < (*bv, *bi),
-                };
-                if better {
-                    winner = Some((v, i, ans));
-                }
-            }
-        }
-        if let Some((v, _, ans)) = winner {
-            out.best_val = v;
-            out.answer = Some(ans);
-        }
-        out
     }
 
     /// Expands one `I_R` node: applies Lemma 6 / Lemma 1 matching pruning
@@ -2071,18 +1484,24 @@ fn cut_error(meter: &BudgetState) -> GpSsnError {
 /// query at outcome assembly, so the hot traversal and refinement paths
 /// never touch the registry. Under [`Obs::with_registry`] redirection
 /// (batch workers) this lands in the calling thread's private registry.
-fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, meter: &BudgetState) {
+fn record_query(
+    obs: Option<&Obs>,
+    path: &'static str,
+    answered: bool,
+    completion: &Completion,
+    m: &QueryMetrics,
+    meter: &BudgetState,
+) {
     let Some(o) = obs.filter(|o| o.metrics_on()) else {
         return;
     };
-    let m = &out.metrics;
     o.inc("gpssn_queries_total", &[("path", path)], 1);
-    if out.answer.is_some() {
+    if answered {
         o.inc("gpssn_answers_total", &[("path", path)], 1);
     }
-    let class = out.completion.rung();
+    let class = completion.rung();
     o.inc("gpssn_query_completions_total", &[("class", class)], 1);
-    if !matches!(out.completion, Completion::Exact) {
+    if !matches!(completion, Completion::Exact) {
         o.inc("gpssn_degraded_rung_total", &[("rung", class)], 1);
     }
     if let Some(trip) = meter.trip() {
@@ -2194,28 +1613,366 @@ fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, meter
     );
 }
 
-/// What one refinement worker hands back: its best `(value, claim
-/// index, answer)` if any, subsets examined, and the minimum
-/// unresolved lower bound it left behind.
-type WorkerResult = (Option<(f64, usize, GpSsnAnswer)>, u64, f64);
-
-/// Result of the refinement stage over the sorted candidate centers.
-struct RefineOutcome {
-    answer: Option<GpSsnAnswer>,
-    best_val: f64,
-    pairs_refined: u64,
-    /// Smallest `lb` left unresolved by a budget trip (`f64::INFINITY`
-    /// when every center was either verified or soundly pruned).
-    unresolved: f64,
+/// What a query computes. Besides its metric and phase labels, the one
+/// pipeline ([`GpSsnEngine::run`]) consults it only for the traversal's
+/// δ handling ([`GpSsnEngine::traverse`]), the per-center verifier and
+/// candidate filter ([`CenterLoop::step`]), the fan-out, and how many
+/// answers the collector keeps.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// The optimum (Algorithm 2); centers may be verified in parallel.
+    Exact,
+    /// The `k` best answers over distinct centers.
+    TopK(usize),
+    /// The paper's §5 subset sampler: `samples` random connected groups
+    /// per center, drawn from one RNG seeded with `seed`.
+    Sampled { samples: usize, seed: u64 },
 }
 
-impl RefineOutcome {
-    fn empty() -> Self {
-        RefineOutcome {
-            answer: None,
-            best_val: f64::INFINITY,
-            pairs_refined: 0,
+impl Mode {
+    /// How many answers the collector keeps.
+    fn keep(self) -> usize {
+        match self {
+            Mode::TopK(k) => k,
+            Mode::Exact | Mode::Sampled { .. } => 1,
+        }
+    }
+
+    /// The `path` label of this mode's per-query metrics.
+    fn path(self) -> &'static str {
+        match self {
+            Mode::Exact => "exact",
+            Mode::TopK(_) => "top_k",
+            Mode::Sampled { .. } => "approximate",
+        }
+    }
+
+    /// The phase (and span) name of this mode's center loop.
+    fn phase(self) -> &'static str {
+        match self {
+            Mode::Sampled { .. } => "sample",
+            Mode::Exact | Mode::TopK(_) => "refine",
+        }
+    }
+}
+
+/// What the road traversal hands to refinement.
+struct Traversal {
+    /// Candidate centers, ascending by `(lb, id)`.
+    centers: Vec<(f64, PoiId)>,
+    /// δ-cut items kept for the exactness fallback.
+    deferred: Vec<(f64, Item)>,
+    /// The paper's threshold `δ` (Eq. 18-guarded Eq. 16 bounds).
+    delta: f64,
+    /// Smallest lower bound left unexplored by a budget trip
+    /// (`f64::INFINITY` when the traversal ran to the end).
+    outstanding: f64,
+    /// Eq. 16's per-pivot companion bound the `δ` updates use.
+    scand_ub: Vec<f64>,
+}
+
+/// One query's center loop: what every per-center step shares, across
+/// worker threads when exact refinement runs in parallel.
+///
+/// Workers claim centers in ascending `(lb, id)` order off a shared
+/// counter and verify against a shared monotone bound stored as atomic
+/// f64 bits (bit patterns of non-negative floats order like their
+/// values). When several workers race (exact mode with
+/// `refine_threads > 1`), each verification uses [`bound_above`] of the
+/// incumbent so *equal*-valued answers survive, and every merge keeps
+/// the lexicographically smallest `(value, claim index)`.
+///
+/// Under an untripped budget this reproduces the one-worker sweep
+/// bit-for-bit on any number of workers: the sweep's winner (the first
+/// center in sorted order achieving the optimum `v`) always satisfies
+/// `lb <= v <= incumbent`, so no worker ever skips it; its verification
+/// bound always exceeds `v`, and [`verify_center`] returns a
+/// bound-independent group; every other center either returns nothing,
+/// a larger value, or an equal value at a larger index — all of which
+/// lose the merge. A tripped budget may legitimately differ (workers
+/// got further before the trip); the reported gap stays sound because
+/// every claimed-but-unfinished center folds its `lb` into
+/// [`Worker::unresolved`].
+struct CenterLoop<'s> {
+    engine: &'s GpSsnEngine<'s>,
+    q: &'s GpSsnQuery,
+    mode: Mode,
+    candidates: &'s [UserId],
+    ch: Option<&'s gpssn_graph::ChOracle>,
+    meter: &'s BudgetState,
+    obs: Option<&'s Obs>,
+    policy: DegradationPolicy,
+    /// The candidate centers, ascending by `(lb, id)`.
+    centers: &'s [(f64, PoiId)],
+    /// Scoped workers to fan out to (`1`: the calling thread alone).
+    threads: usize,
+    /// Index of the next unclaimed center.
+    next: AtomicUsize,
+    /// The `k`-th best value any worker holds, as f64 bits
+    /// (`f64::INFINITY` until some worker holds `k` answers).
+    kth_bits: AtomicU64,
+}
+
+/// One center-loop worker's private state.
+struct Worker {
+    ws: DijkstraWorkspace,
+    chws: gpssn_graph::ChSearch,
+    /// The sampler's RNG: `Some` exactly in sampled mode.
+    rng: Option<rand::rngs::StdRng>,
+    /// Answers kept so far, ascending by `(maxdist, claim index)`; at
+    /// most [`Mode::keep`] of them, over distinct `(users, pois)`.
+    kept: Vec<(f64, usize, GpSsnAnswer)>,
+    /// Subsets examined.
+    pairs: u64,
+    /// Smallest `lb` left unresolved by a budget trip or an absorbed
+    /// fault (`f64::INFINITY` when every center was either verified or
+    /// soundly pruned).
+    unresolved: f64,
+    /// Trace-span id the `verify_center` spans hang under.
+    span_parent: u64,
+}
+
+impl Worker {
+    fn note_workspace(&self, meter: &BudgetState) {
+        meter.note_workspace(
+            self.ws.resets() + self.chws.resets(),
+            self.ws.recycles() + self.chws.recycles(),
+            self.chws.unpacks(),
+        );
+    }
+}
+
+impl<'s> CenterLoop<'s> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        engine: &'s GpSsnEngine<'s>,
+        q: &'s GpSsnQuery,
+        mode: Mode,
+        candidates: &'s [UserId],
+        centers: &'s [(f64, PoiId)],
+        opts: &QueryOptions,
+        meter: &'s BudgetState,
+        obs: Option<&'s Obs>,
+    ) -> Self {
+        CenterLoop {
+            engine,
+            q,
+            mode,
+            candidates,
+            ch: engine.ch_for(opts),
+            meter,
+            obs,
+            policy: opts.degradation,
+            centers,
+            // Only the exact optimum merges deterministically across
+            // workers; a top-k list and a sampler's RNG stream are
+            // ordered state, so those modes verify on the calling thread.
+            threads: match mode {
+                Mode::Exact => resolve_threads(opts.refine_threads, centers.len()),
+                Mode::TopK(_) | Mode::Sampled { .. } => 1,
+            },
+            next: AtomicUsize::new(0),
+            kth_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+        }
+    }
+
+    fn worker(&self, span_parent: u64) -> Worker {
+        Worker {
+            ws: DijkstraWorkspace::new(),
+            chws: gpssn_graph::ChSearch::new(),
+            rng: match self.mode {
+                Mode::Sampled { seed, .. } => Some(rand::rngs::StdRng::seed_from_u64(seed)),
+                Mode::Exact | Mode::TopK(_) => None,
+            },
+            kept: Vec::new(),
+            pairs: 0,
             unresolved: f64::INFINITY,
+            span_parent,
+        }
+    }
+
+    /// The `k`-th best value held so far.
+    fn kth(&self) -> f64 {
+        f64::from_bits(self.kth_bits.load(Ordering::Relaxed))
+    }
+
+    /// The bound a center is verified against. Racing workers admit
+    /// ties with the incumbent (see the type docs); a lone worker keeps
+    /// the strict bound, which skips every tie — so a sampler draws
+    /// exactly the groups it always drew.
+    fn bound(&self) -> f64 {
+        if self.threads > 1 {
+            bound_above(self.kth())
+        } else {
+            self.kth()
+        }
+    }
+
+    /// Verifies the centers on the calling thread plus, when
+    /// `threads > 1`, that many scoped workers, and returns the calling
+    /// thread's worker with every other worker merged into it.
+    fn refine(&self, span_parent: u64) -> Worker {
+        let mut main = self.worker(span_parent);
+        if self.threads <= 1 {
+            self.claim(&mut main, usize::MAX);
+            return main;
+        }
+        // Pilot: verify the cheapest center on the calling thread before
+        // fanning out, so workers start with an incumbent bound instead
+        // of all verifying their first claim against `∞` (which is
+        // redundant work the one-worker sweep would have skipped). The
+        // pilot is simply claim 0 of the same protocol, so determinism
+        // is untouched.
+        self.claim(&mut main, 1);
+        // If the query thread is buffering spans for tail sampling,
+        // workers adopt the same capture so their verification spans
+        // stay with (and live or die with) the query's trace.
+        let capture = gpssn_obs::trace::capture_handle();
+        let others: Vec<Worker> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _adopt = capture.as_ref().map(gpssn_obs::trace::adopt_capture);
+                        let mut w = self.worker(span_parent);
+                        self.claim(&mut w, usize::MAX);
+                        w
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(w) => w,
+                    // Re-raise worker panics on the query thread so
+                    // the batch isolation layer sees them.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        for w in others {
+            w.note_workspace(self.meter);
+            main.pairs += w.pairs;
+            main.unresolved = main.unresolved.min(w.unresolved);
+            for (_, i, ans) in w.kept {
+                self.keep(&mut main, i, ans);
+            }
+        }
+        main
+    }
+
+    /// Claims up to `claims` centers off the shared counter and steps
+    /// through them until one says stop.
+    fn claim(&self, w: &mut Worker, claims: usize) {
+        for _ in 0..claims {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(lb, center)) = self.centers.get(i) else {
+                break;
+            };
+            if !self.step(w, i, lb, center) {
+                break;
+            }
+        }
+    }
+
+    /// The per-center step every mode shares: stop on a budget trip or
+    /// once `lb` reaches the mode's bound, drop candidates that cannot
+    /// beat it, verify `center` (exactly, or by the sampler), and hand
+    /// any answer to the collector. `i` is the center's rank in the
+    /// verification order. Returns `false` when the loop must stop —
+    /// centers arrive in ascending `lb`, so none after this one can do
+    /// better.
+    fn step(&self, w: &mut Worker, i: usize, lb: f64, center: PoiId) -> bool {
+        if self.meter.is_tripped() {
+            w.unresolved = w.unresolved.min(lb);
+            return false;
+        }
+        let bound = self.bound();
+        if lb >= bound {
+            return false;
+        }
+        let engine = self.engine;
+        // Top-k verifies against every candidate: a smaller eligible set
+        // can switch `verify_center` between row and column distance
+        // sweeps, which sum edges in opposite orders and may move a
+        // `maxdist` by an ulp.
+        let filter_bound = match self.mode {
+            Mode::TopK(_) => f64::INFINITY,
+            Mode::Exact | Mode::Sampled { .. } => bound,
+        };
+        let filtered = engine.filter_candidates_for_center(self.candidates, center, filter_bound);
+        let found = match (self.mode, w.rng.as_mut()) {
+            (Mode::Sampled { samples, .. }, Some(rng)) => crate::sampling::verify_center_sampled(
+                engine.ssn, self.q, &filtered, center, bound, samples, rng, self.meter,
+            ),
+            _ => {
+                let mut ctx = VerifyContext {
+                    ws: &mut w.ws,
+                    ch: self.ch.map(|oracle| ChBackend {
+                        oracle,
+                        search: &mut w.chws,
+                    }),
+                    cache: engine.distance_cache.as_ref(),
+                    breaker: Some(&engine.ch_breaker),
+                    budget: self.meter,
+                    obs: self.obs,
+                    span_parent: w.span_parent,
+                };
+                let Some(v) = verify_center_guarded(
+                    engine.ssn,
+                    self.q,
+                    &filtered,
+                    center,
+                    bound,
+                    engine.cfg.enumeration_cap,
+                    &mut ctx,
+                    self.policy,
+                ) else {
+                    w.unresolved = w.unresolved.min(lb);
+                    return true;
+                };
+                w.pairs += v.subsets_examined;
+                v.answer
+            }
+        };
+        if let Some(ans) = found {
+            self.keep(w, i, ans);
+        }
+        if self.meter.is_tripped() {
+            // This center's verification was itself cut short, so it
+            // remains unresolved (conservative: folding its lb in only
+            // widens the reported gap).
+            w.unresolved = w.unresolved.min(lb);
+            return false;
+        }
+        true
+    }
+
+    /// The collector: inserts `ans` (found at rank `i`) into the
+    /// worker's kept list in `(maxdist, rank)` order, and lowers the
+    /// shared bound once the list is full. An answer repeating a kept
+    /// `(users, pois)` pair replaces it only if it orders first — two
+    /// centers with the same ball can price the same group an ulp
+    /// apart (see [`CenterLoop::step`]).
+    fn keep(&self, w: &mut Worker, i: usize, ans: GpSsnAnswer) {
+        let before = |&(v, j, _): &(f64, usize, GpSsnAnswer)| {
+            v.total_cmp(&ans.maxdist).then(j.cmp(&i)).is_lt()
+        };
+        if let Some(dup) = w
+            .kept
+            .iter()
+            .position(|(_, _, b)| b.users == ans.users && b.pois == ans.pois)
+        {
+            if before(&w.kept[dup]) {
+                return;
+            }
+            w.kept.remove(dup);
+        }
+        let at = w.kept.partition_point(before);
+        w.kept.insert(at, (ans.maxdist, i, ans));
+        let keep = self.mode.keep();
+        w.kept.truncate(keep);
+        if let Some(&(kth, _, _)) = w.kept.get(keep - 1) {
+            atomic_min_f64(&self.kth_bits, kth);
         }
     }
 }
@@ -2245,54 +2002,52 @@ fn atomic_min_f64(best: &AtomicU64, v: f64) {
     }
 }
 
-/// Derives the completion state after a (possibly tripped) search.
+/// Derives the completion state after a (possibly cut) search.
 ///
-/// `best_val` is the best *verified* objective (`f64::INFINITY` when no
-/// answer was verified); `outstanding` is the smallest lower bound left
-/// unresolved by the trip (`f64::INFINITY` when the search space was
-/// exhausted anyway). No trip means the answer is exact; with a trip, an
-/// answer whose value is `<=` every unresolved bound is still provably
-/// optimal, otherwise the answer carries the gap `best_val − outstanding`
-/// (the true optimum lies within it). A trip with nothing verified and
-/// work left unresolved is a failure — there is no anytime answer to
-/// degrade to.
-/// Absorbed refinement faults count as cuts alongside budget trips: the
-/// faulted centers' lower bounds were folded into `outstanding`, so an
-/// answer that beats every unresolved bound is still provably optimal,
-/// and anything else degrades honestly.
-fn completion_of(meter: &BudgetState, best_val: f64, outstanding: f64) -> Completion {
+/// `answers` are the verified answers, ascending, of which the mode
+/// keeps at most `keep`; the `k`-th slot's value is `f64::INFINITY`
+/// while fewer than `keep` were verified. `outstanding` is the smallest
+/// lower bound left unresolved (`f64::INFINITY` when the search space
+/// was exhausted anyway). A budget trip and an absorbed refinement
+/// fault both count as cuts: the cut centers' lower bounds were folded
+/// into `outstanding`. No cut means the answers are exact; with a cut,
+/// a `k`-th value `<=` every unresolved bound is still provably
+/// optimal, otherwise the answers carry the gap `kth − outstanding`
+/// (the true `k`-th optimum lies within it). A cut with nothing
+/// verified and work left unresolved is a failure — there is no
+/// anytime answer to degrade to.
+fn completion_of(
+    meter: &BudgetState,
+    answers: &[GpSsnAnswer],
+    keep: usize,
+    outstanding: f64,
+) -> Completion {
+    let kth = answers.get(keep - 1).map_or(f64::INFINITY, |a| a.maxdist);
     let cut = meter.trip().is_some() || meter.faults() > 0;
-    if !cut || outstanding >= best_val {
+    if !cut || outstanding >= kth {
         Completion::Exact
-    } else if best_val.is_finite() {
-        Completion::TruncatedWithGap((best_val - outstanding).max(0.0))
-    } else {
+    } else if answers.is_empty() {
         Completion::Failed(cut_error(meter))
+    } else {
+        Completion::TruncatedWithGap((kth - outstanding).max(0.0))
     }
 }
 
 /// Collapses a `try_` result into the legacy panicking API: infeasible
 /// queries degrade to an exact "no answer" outcome; validation errors
-/// panic with the historical messages.
+/// panic with the historical messages (so code and tests written
+/// against the panicking API keep their expectations).
 fn unwrap_outcome(res: Result<QueryOutcome, GpSsnError>) -> QueryOutcome {
     match res {
         Ok(out) => out,
         Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
-        Err(e) => panic_like_legacy(e),
-    }
-}
-
-/// Panics with the historical message for each error class (so code and
-/// tests written against the panicking API keep their expectations).
-fn panic_like_legacy(e: GpSsnError) -> ! {
-    match e {
-        GpSsnError::InvalidQuery(_) | GpSsnError::UnknownUser { .. } => {
+        Err(e @ (GpSsnError::InvalidQuery(_) | GpSsnError::UnknownUser { .. })) => {
             panic!("invalid query parameters: {e}")
         }
-        GpSsnError::RadiusOutOfIndexRange { .. } => {
+        Err(e @ GpSsnError::RadiusOutOfIndexRange { .. }) => {
             panic!("query radius outside the index's [r_min, r_max] range: {e}")
         }
-        other => panic!("{other}"),
+        Err(other) => panic!("{other}"),
     }
 }
 
@@ -2526,10 +2281,13 @@ mod tests {
                 radius: 2.5,
             })
             .collect();
-        let sequential = engine.query_batch(&queries, 1);
-        let parallel = engine.query_batch(&queries, 4);
+        let opts = QueryOptions::default();
+        let unlimited = QueryBudget::unlimited();
+        let sequential = engine.try_query_batch(&queries, 1, &opts, &unlimited);
+        let parallel = engine.try_query_batch(&queries, 4, &opts, &unlimited);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(parallel.iter()) {
+            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
             assert_eq!(
                 s.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone())),
                 p.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone()))

@@ -43,9 +43,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod tuning;
 
-pub use algorithm::{
-    BatchSchedule, DegradationPolicy, DistanceBackend, EngineConfig, GpSsnEngine, QueryOptions,
-};
+pub use algorithm::{DegradationPolicy, DistanceBackend, EngineConfig, GpSsnEngine, QueryOptions};
 pub use baseline::{
     estimate_baseline_cost, exact_baseline, exact_baseline_top_k, try_exact_baseline,
     try_exact_baseline_with_obs, BaselineEstimate,

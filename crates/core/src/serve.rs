@@ -10,7 +10,7 @@
 //!
 //! * **Scheduling** — worker threads pull requests off a shared bounded
 //!   queue one at a time (the same work-stealing discipline as
-//!   [`crate::BatchSchedule::WorkStealing`]), so a skewed request never
+//!   [`crate::GpSsnEngine::try_query_batch`]), so a skewed request never
 //!   strands cheap ones behind it. Responses are delivered strictly in
 //!   submission order through a reorder buffer, and each response is
 //!   released as soon as it *and everything before it* is done —

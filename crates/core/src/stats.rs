@@ -264,6 +264,8 @@ pub struct TopKOutcome {
     /// truncation with fewer than `k` answers the gap is
     /// `f64::INFINITY`.
     pub completion: Completion,
+    /// Measured metrics.
+    pub metrics: QueryMetrics,
 }
 
 /// `C(n, k)` in `f64` (saturating to `f64::INFINITY` for huge values) —

@@ -11,7 +11,9 @@
 //! cargo run --release --example tuned_batch
 //! ```
 
-use gpssn::core::{suggest_parameters, EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{
+    suggest_parameters, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions,
+};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 fn main() {
@@ -51,8 +53,12 @@ fn main() {
         })
         .collect();
     let t0 = std::time::Instant::now();
-    let outcomes = engine.query_batch(&queries, 4);
+    let unlimited = QueryBudget::unlimited();
+    let results = engine.try_query_batch(&queries, 4, &QueryOptions::default(), &unlimited);
     let wall = t0.elapsed();
+    // Statically infeasible queries come back as typed errors; count
+    // them as unanswered.
+    let outcomes: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
     let answered = outcomes.iter().filter(|o| o.answer.is_some()).count();
     let total_io: u64 = outcomes.iter().map(|o| o.metrics.io_pages).sum();
     println!(
@@ -65,11 +71,11 @@ fn main() {
     // Approximate mode comparison on the first answered query.
     if let Some((q, exact)) = queries
         .iter()
-        .zip(outcomes.iter())
-        .find_map(|(q, o)| o.answer.as_ref().map(|a| (q, a.clone())))
+        .zip(results.iter())
+        .find_map(|(q, r)| Some((q, r.as_ref().ok()?.answer.clone()?)))
     {
-        let approx = engine.query_approximate(q, 48, 1);
-        match approx.answer {
+        let approx = engine.try_query_approximate(q, 48, 1, &unlimited);
+        match approx.ok().and_then(|o| o.answer) {
             Some(a) => println!(
                 "sampling vs exact for user {}: approx maxdist {:.3} vs exact {:.3} \
                  ({}x samples)",

@@ -4,8 +4,8 @@
 //! failpoints`). Each schedule installs a seeded [`FaultPlan`] that makes
 //! every registered fail-point site fire pseudo-randomly — spurious
 //! cache misses, poisoned cache shards, CH panics mid-sweep, refinement
-//! panics — then pushes a batch of queries through
-//! `try_query_batch_with_options` under the degradation ladder and holds
+//! panics — then pushes a batch of queries through `try_query_batch`
+//! under the degradation ladder and holds
 //! the serving contract:
 //!
 //! * no panic escapes the batch boundary (every slot is `Ok`),
@@ -57,7 +57,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
         })
         .filter(|q| {
             matches!(
-                engine.try_query(q, &budget),
+                engine.try_query_with_options(q, &QueryOptions::default(), &budget),
                 Ok(out) if matches!(out.completion, Completion::Exact) && out.answer.is_some()
             )
         })
@@ -70,7 +70,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
 
     // Fault-free ground truth (bitwise): maxdist bits, group, POIs.
     let truth: Vec<(u64, Vec<u32>, Vec<u32>)> = engine
-        .try_query_batch_with_options(&queries, 2, &opts, &budget)
+        .try_query_batch(&queries, 2, &opts, &budget)
         .into_iter()
         .map(|r| {
             let ans = r.expect("fault-free batch is Ok").answer.expect("answer");
@@ -82,7 +82,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
     let mut failed = 0u64;
     for seed in 0..SCHEDULES {
         let _guard = install(FaultPlan::uniform(seed, FAULT_PROB));
-        let results = engine.try_query_batch_with_options(&queries, 2, &opts, &budget);
+        let results = engine.try_query_batch(&queries, 2, &opts, &budget);
         for (i, res) in results.into_iter().enumerate() {
             let out = res.unwrap_or_else(|e| {
                 panic!("schedule {seed} query {i}: panic/error escaped the ladder: {e}")
@@ -170,7 +170,9 @@ fn always_firing_ch_faults_stay_exact_via_the_breaker() {
         theta: 0.3,
         radius: 3.0,
     };
-    let baseline = engine.try_query(&q, &budget).unwrap();
+    let baseline = engine
+        .try_query_with_options(&q, &QueryOptions::default(), &budget)
+        .unwrap();
     let truth = baseline.answer.expect("fixture query has an answer");
 
     let plan = FaultPlan::new(99)

@@ -4,6 +4,7 @@
 
 use gpssn::core::{
     exact_baseline, Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget,
+    QueryOptions,
 };
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::road::{NetworkPoint, Poi, PoiSet, RoadNetwork};
@@ -194,7 +195,7 @@ fn statically_infeasible_queries_return_typed_errors() {
         radius: 2.0,
     };
     assert!(matches!(
-        engine.try_query(&q, &unlimited),
+        engine.try_query_with_options(&q, &QueryOptions::default(), &unlimited),
         Err(GpSsnError::Infeasible { .. })
     ));
     // The oracle agrees there is nothing to find.
@@ -228,7 +229,7 @@ fn statically_infeasible_queries_return_typed_errors() {
         radius: 1.0,
     };
     assert!(matches!(
-        lonely_engine.try_query(&q, &unlimited),
+        lonely_engine.try_query_with_options(&q, &QueryOptions::default(), &unlimited),
         Err(GpSsnError::Infeasible { .. })
     ));
     assert!(exact_baseline(&lonely, &q).is_none());
@@ -248,7 +249,7 @@ fn unachievable_gamma_is_exactly_none_like_brute_force() {
         radius: 2.0,
     };
     let out = engine
-        .try_query(&q, &QueryBudget::unlimited())
+        .try_query_with_options(&q, &QueryOptions::default(), &QueryBudget::unlimited())
         .expect("valid, just empty");
     assert!(out.answer.is_none());
     assert!(matches!(out.completion, Completion::Exact));
@@ -283,7 +284,7 @@ fn boundary_radii_match_brute_force() {
             radius,
         };
         let out = engine
-            .try_query(&q, &QueryBudget::unlimited())
+            .try_query_with_options(&q, &QueryOptions::default(), &QueryBudget::unlimited())
             .expect("boundary radius is valid");
         assert!(matches!(out.completion, Completion::Exact));
         let oracle = exact_baseline(&ssn, &q);
@@ -308,7 +309,7 @@ fn boundary_radii_match_brute_force() {
             radius,
         };
         assert!(matches!(
-            engine.try_query(&q, &QueryBudget::unlimited()),
+            engine.try_query_with_options(&q, &QueryOptions::default(), &QueryBudget::unlimited()),
             Err(GpSsnError::RadiusOutOfIndexRange { .. })
         ));
     }

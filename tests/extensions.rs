@@ -3,7 +3,9 @@
 //! work) and top-k GP-SSN answers.
 
 use gpssn::core::query::check_answer;
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{
+    EngineConfig, GpSsnAnswer, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget, QueryOptions,
+};
 use gpssn::index::SocialIndexConfig;
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
 
@@ -23,6 +25,30 @@ fn engine(ssn: &SpatialSocialNetwork) -> GpSsnEngine<'_> {
     )
 }
 
+/// The sampled answer, `None` for a statically infeasible query.
+fn approximate(
+    eng: &GpSsnEngine,
+    q: &GpSsnQuery,
+    samples: usize,
+    seed: u64,
+) -> Option<GpSsnAnswer> {
+    match eng.try_query_approximate(q, samples, seed, &QueryBudget::unlimited()) {
+        Ok(out) => out.answer,
+        Err(GpSsnError::Infeasible { .. }) => None,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// The top-`k` answers, empty for a statically infeasible query.
+fn top_k(eng: &GpSsnEngine, q: &GpSsnQuery, k: usize) -> Vec<GpSsnAnswer> {
+    let unlimited = QueryBudget::unlimited();
+    match eng.try_query_top_k(q, k, &QueryOptions::default(), &unlimited) {
+        Ok(out) => out.answers,
+        Err(GpSsnError::Infeasible { .. }) => Vec::new(),
+        Err(e) => panic!("{e}"),
+    }
+}
+
 #[test]
 fn approximate_answers_validate_and_bound_exact() {
     for seed in 0..5u64 {
@@ -36,7 +62,7 @@ fn approximate_answers_validate_and_bound_exact() {
             radius: 2.5,
         };
         let exact = eng.query(&q).answer;
-        let approx = eng.query_approximate(&q, 32, seed).answer;
+        let approx = approximate(&eng, &q, 32, seed);
         if let Some(a) = &approx {
             check_answer(&ssn, &q, a).expect("approximate answer violates Definition 5");
             if let Some(e) = &exact {
@@ -69,7 +95,7 @@ fn approximate_usually_finds_feasible_queries() {
         };
         if eng.query(&q).answer.is_some() {
             exact_hits += 1;
-            if eng.query_approximate(&q, 64, 7).answer.is_some() {
+            if approximate(&eng, &q, 64, 7).is_some() {
                 approx_hits += 1;
             }
         }
@@ -93,7 +119,7 @@ fn top_k_is_sorted_valid_and_starts_at_the_optimum() {
         radius: 2.5,
     };
     let single = eng.query(&q).answer;
-    let top = eng.query_top_k(&q, 5);
+    let top = top_k(&eng, &q, 5);
     if let Some(best) = &single {
         assert!(!top.is_empty());
         assert!(
@@ -182,7 +208,7 @@ fn top_k_matches_exhaustive_oracle() {
             radius: 2.0,
         };
         let expected = exact_baseline_top_k(&ssn, &q, 4);
-        let got = eng.query_top_k(&q, 4);
+        let got = top_k(&eng, &q, 4);
         assert_eq!(
             expected.len(),
             got.len(),
@@ -212,7 +238,7 @@ fn top_1_matches_query_across_seeds() {
             radius: 2.0,
         };
         let single = eng.query(&q).answer;
-        let top = eng.query_top_k(&q, 1);
+        let top = top_k(&eng, &q, 1);
         match (single, top.first()) {
             (None, None) => {}
             (Some(a), Some(b)) => {

@@ -9,7 +9,8 @@
 use gpssn::core::query::check_answer;
 use gpssn::core::refinement::test_hooks;
 use gpssn::core::{
-    try_exact_baseline, Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget,
+    try_exact_baseline, Completion, DegradationPolicy, EngineConfig, GpSsnEngine, GpSsnError,
+    GpSsnQuery, QueryBudget, QueryOptions,
 };
 use gpssn::index::SocialIndexConfig;
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
@@ -68,7 +69,7 @@ fn typed_errors_for_invalid_inputs() {
         ..ok.clone()
     };
     assert!(matches!(
-        engine.try_query(&bad_tau, &unlimited),
+        engine.try_query_with_options(&bad_tau, &QueryOptions::default(), &unlimited),
         Err(GpSsnError::InvalidQuery(_))
     ));
 
@@ -77,7 +78,7 @@ fn typed_errors_for_invalid_inputs() {
         ..ok.clone()
     };
     assert!(matches!(
-        engine.try_query(&bad_user, &unlimited),
+        engine.try_query_with_options(&bad_user, &QueryOptions::default(), &unlimited),
         Err(GpSsnError::UnknownUser { .. })
     ));
 
@@ -85,7 +86,7 @@ fn typed_errors_for_invalid_inputs() {
         radius: 1e9,
         ..ok.clone()
     };
-    match engine.try_query(&bad_radius, &unlimited) {
+    match engine.try_query_with_options(&bad_radius, &QueryOptions::default(), &unlimited) {
         Err(GpSsnError::RadiusOutOfIndexRange {
             radius,
             r_min,
@@ -102,20 +103,26 @@ fn typed_errors_for_invalid_inputs() {
         ..ok.clone()
     };
     assert!(matches!(
-        engine.try_query(&bad_tau_pop, &unlimited),
+        engine.try_query_with_options(&bad_tau_pop, &QueryOptions::default(), &unlimited),
         Err(GpSsnError::Infeasible { .. })
     ));
 
     // Errors display as a single line (the CLI prints them on stderr).
     for err in [
-        engine.try_query(&bad_tau, &unlimited).unwrap_err(),
-        engine.try_query(&bad_radius, &unlimited).unwrap_err(),
+        engine
+            .try_query_with_options(&bad_tau, &QueryOptions::default(), &unlimited)
+            .unwrap_err(),
+        engine
+            .try_query_with_options(&bad_radius, &QueryOptions::default(), &unlimited)
+            .unwrap_err(),
     ] {
         assert!(!format!("{err}").contains('\n'));
     }
 
     // A valid query still succeeds exactly.
-    let out = engine.try_query(&ok, &unlimited).expect("valid query");
+    let out = engine
+        .try_query_with_options(&ok, &QueryOptions::default(), &unlimited)
+        .expect("valid query");
     assert!(matches!(out.completion, Completion::Exact));
 }
 
@@ -136,7 +143,7 @@ fn poisoned_query_is_isolated_in_batch() {
 
     // Ground truth with the hook disarmed; the poisoned user's own query
     // must reach refinement, otherwise the injected fault never fires.
-    let clean = engine.try_query_batch(&queries, 2, &unlimited);
+    let clean = engine.try_query_batch(&queries, 2, &QueryOptions::default(), &unlimited);
     assert!(clean.iter().all(|r| r.is_ok()));
     assert!(
         clean[2].as_ref().unwrap().answer.is_some(),
@@ -145,7 +152,8 @@ fn poisoned_query_is_isolated_in_batch() {
 
     let _guard = HookGuard::arm(5);
     for threads in [0usize, 1, 3] {
-        let poisoned = engine.try_query_batch(&queries, threads, &unlimited);
+        let poisoned =
+            engine.try_query_batch(&queries, threads, &QueryOptions::default(), &unlimited);
         assert_eq!(poisoned.len(), queries.len());
         for (i, (slot, truth)) in poisoned.iter().zip(clean.iter()).enumerate() {
             if queries[i].user == 5 {
@@ -197,15 +205,62 @@ fn page_cache_survives_poisoned_batch() {
     let queries: Vec<GpSsnQuery> = [7u32, 0, 7, 1].into_iter().map(mk).collect();
     {
         let _guard = HookGuard::arm(7);
-        let results = engine.try_query_batch(&queries, 2, &QueryBudget::unlimited());
+        let results = engine.try_query_batch(
+            &queries,
+            2,
+            &QueryOptions::default(),
+            &QueryBudget::unlimited(),
+        );
         assert!(results[1].is_ok() && results[3].is_ok());
     }
     // The engine must keep serving after the injected faults (no poisoned
     // page-cache lock cascading into later queries).
     let after = engine
-        .try_query(&mk(0), &QueryBudget::unlimited())
+        .try_query_with_options(&mk(0), &QueryOptions::default(), &QueryBudget::unlimited())
         .expect("engine still serves");
     assert!(matches!(after.completion, Completion::Exact));
+}
+
+#[test]
+fn top_k_absorbs_refinement_panics_under_the_ladder() {
+    let _serial = HOOK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 41);
+    let engine = small_engine(&ssn);
+    let q = GpSsnQuery {
+        user: 5,
+        tau: 2,
+        gamma: 0.3,
+        theta: 0.3,
+        radius: 2.5,
+    };
+    let ladder = QueryOptions {
+        degradation: DegradationPolicy::Ladder,
+        ..Default::default()
+    };
+    let unlimited = QueryBudget::unlimited();
+    let clean = engine.try_query_top_k(&q, 3, &ladder, &unlimited).unwrap();
+    assert!(
+        matches!(clean.completion, Completion::Exact) && !clean.answers.is_empty(),
+        "fixture: user 5 must have top-k answers so refinement runs"
+    );
+
+    // Every center verification now panics; the ladder must absorb each
+    // one instead of letting the query unwind.
+    let _guard = HookGuard::arm(5);
+    let out = engine
+        .try_query_top_k(&q, 3, &ladder, &unlimited)
+        .expect("the ladder absorbs refinement panics");
+    assert!(
+        !matches!(out.completion, Completion::Exact),
+        "a query whose every verification faulted cannot claim exactness"
+    );
+    for ans in &out.answers {
+        check_answer(&ssn, &q, ans).expect("degraded answer violates Definition 5");
+        assert!(
+            ans.maxdist >= clean.answers[0].maxdist,
+            "degraded answer beat the optimum"
+        );
+    }
 }
 
 #[test]
@@ -221,20 +276,23 @@ fn batch_thread_ergonomics() {
             radius: 2.5,
         })
         .collect();
-    let sequential = engine.query_batch(&queries, 1);
+    let opts = QueryOptions::default();
+    let unlimited = QueryBudget::unlimited();
+    let sequential = engine.try_query_batch(&queries, 1, &opts, &unlimited);
     // threads = 0 (auto) and an oversized pool are both clamped, not a
     // panic; answers are identical in input order.
     for threads in [0usize, 64] {
-        let batch = engine.query_batch(&queries, threads);
+        let batch = engine.try_query_batch(&queries, threads, &opts, &unlimited);
         assert_eq!(batch.len(), sequential.len());
         for (s, p) in sequential.iter().zip(batch.iter()) {
+            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
             assert_eq!(
                 s.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone())),
                 p.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone()))
             );
         }
     }
-    assert!(engine.query_batch(&[], 0).is_empty());
+    assert!(engine.try_query_batch(&[], 0, &opts, &unlimited).is_empty());
 }
 
 #[test]
@@ -248,7 +306,9 @@ fn budget_trip_degrades_to_anytime_answer() {
         theta: 0.3,
         radius: 3.0,
     };
-    let unlimited = engine.try_query(&q, &QueryBudget::unlimited()).unwrap();
+    let unlimited = engine
+        .try_query_with_options(&q, &QueryOptions::default(), &QueryBudget::unlimited())
+        .unwrap();
     assert!(matches!(unlimited.completion, Completion::Exact));
     let exact = unlimited
         .answer
@@ -268,7 +328,7 @@ fn budget_trip_degrades_to_anytime_answer() {
             ..Default::default()
         };
         let out = engine
-            .try_query(&q, &budget)
+            .try_query_with_options(&q, &QueryOptions::default(), &budget)
             .expect("budgeted queries still return Ok");
         match out.completion {
             Completion::Exact => {
@@ -338,7 +398,7 @@ fn pops_budget_of_one_fails_cleanly() {
         ..Default::default()
     };
     let out = engine
-        .try_query(&q, &budget)
+        .try_query_with_options(&q, &QueryOptions::default(), &budget)
         .expect("trips degrade, never Err");
     match out.completion {
         Completion::Failed(GpSsnError::BudgetExhausted { resource, .. }) => {
@@ -362,7 +422,11 @@ fn zero_deadline_trips_without_panicking() {
         radius: 3.0,
     };
     let out = engine
-        .try_query(&q, &QueryBudget::with_deadline(Duration::ZERO))
+        .try_query_with_options(
+            &q,
+            &QueryOptions::default(),
+            &QueryBudget::with_deadline(Duration::ZERO),
+        )
         .expect("deadline trips degrade, never Err");
     match out.completion {
         Completion::Exact => {} // finished inside the first check period
@@ -410,13 +474,14 @@ fn top_k_under_budget_reports_completion() {
         radius: 3.0,
     };
     let full = engine
-        .try_query_top_k(&q, 3, &QueryBudget::unlimited())
+        .try_query_top_k(&q, 3, &QueryOptions::default(), &QueryBudget::unlimited())
         .unwrap();
     assert!(matches!(full.completion, Completion::Exact));
     let starved = engine
         .try_query_top_k(
             &q,
             3,
+            &QueryOptions::default(),
             &QueryBudget {
                 max_heap_pops: Some(1),
                 ..Default::default()
@@ -427,11 +492,11 @@ fn top_k_under_budget_reports_completion() {
         Completion::Exact => panic!("one pop cannot complete a top-k traversal"),
         Completion::TruncatedWithGap(_) | Completion::Failed(_) => {}
         Completion::DegradedSampling => {
-            panic!("top-k has no sampling rung")
+            panic!("sampling rescue requires the Ladder policy, not the default")
         }
     }
     assert!(matches!(
-        engine.try_query_top_k(&q, 0, &QueryBudget::unlimited()),
+        engine.try_query_top_k(&q, 0, &QueryOptions::default(), &QueryBudget::unlimited()),
         Err(GpSsnError::InvalidQuery(_))
     ));
 }

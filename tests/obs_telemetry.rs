@@ -277,7 +277,7 @@ fn batch_counter_merge_is_deterministic_across_runs() {
     let run = |threads: usize| {
         let obs = Arc::new(Obs::with_metrics());
         let engine = GpSsnEngine::build(&ssn, small_cfg(13, Some(obs.clone())));
-        let results = engine.try_query_batch(&queries, threads, &budget);
+        let results = engine.try_query_batch(&queries, threads, &QueryOptions::default(), &budget);
         assert!(results.iter().all(|r| r.is_ok()));
         obs.base_registry().snapshot()
     };
@@ -305,6 +305,38 @@ fn batch_counter_merge_is_deterministic_across_runs() {
         .histogram("gpssn_query_cpu_ns", &[("path", "exact")])
         .expect("per-query CPU histogram present");
     assert_eq!(cpu.count, queries.len() as u64);
+}
+
+#[test]
+fn top_k_queries_record_per_query_metrics() {
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 13);
+    let obs = Arc::new(Obs::with_metrics());
+    let engine = GpSsnEngine::build(&ssn, small_cfg(13, Some(obs.clone())));
+    let queries: Vec<GpSsnQuery> = corpus(&ssn, 13).into_iter().take(12).collect();
+    let mut pairs = 0u64;
+    for q in &queries {
+        let out = engine
+            .try_query_top_k(q, 3, &QueryOptions::default(), &QueryBudget::unlimited())
+            .unwrap();
+        assert_eq!(out.metrics.stats.users_total, ssn.social().num_users());
+        pairs += out.metrics.stats.pairs_refined;
+    }
+    let snap = obs.base_registry().snapshot();
+    let n = queries.len() as u64;
+    assert_eq!(snap.counter("gpssn_queries_total", &[("path", "top_k")]), n);
+    let completions: u64 = snap
+        .counters
+        .iter()
+        .filter(|(id, _)| id.name == "gpssn_query_completions_total")
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(completions, n, "one completion class per top-k query");
+    let cpu = snap
+        .histogram("gpssn_query_cpu_ns", &[("path", "top_k")])
+        .expect("per-query CPU histogram for top-k");
+    assert_eq!(cpu.count, n);
+    assert!(pairs > 0, "the fixture refined nothing");
+    assert_eq!(snap.counter("gpssn_pairs_refined_total", &[]), pairs);
 }
 
 #[test]

@@ -5,9 +5,15 @@
 //! pressure (a cache too small to hold anything for long) must also
 //! change nothing: a hit only ever returns what the miss path would
 //! have recomputed.
+//!
+//! The same corpus drives a differential oracle over the query modes:
+//! every pruning switch (alone and all together) and the tight MBR test
+//! on both backends, top-1, and the sampler must agree with the default
+//! exact query on the optimum's value.
 
 use gpssn::core::algorithm::{DistanceBackend, EngineConfig, QueryOptions};
-use gpssn::core::{DistanceCacheConfig, GpSsnAnswer, GpSsnEngine, GpSsnQuery};
+use gpssn::core::query::check_answer;
+use gpssn::core::{DistanceCacheConfig, GpSsnAnswer, GpSsnEngine, GpSsnQuery, QueryBudget};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
 
@@ -79,6 +85,96 @@ fn assert_bit_identical(a: &Option<GpSsnAnswer>, b: &Option<GpSsnAnswer>, what: 
     }
 }
 
+/// Value comparison: feasibility, and `maxdist` at most `max_ulps`
+/// apart (0 = bitwise). The optimum's value is unique, but two centers
+/// can tie on it, and the pruning switches change which of them is
+/// verified first — so the group may legitimately differ.
+fn assert_same_value(a: Option<&GpSsnAnswer>, b: Option<&GpSsnAnswer>, max_ulps: u64, what: &str) {
+    match (a, b) {
+        (None, None) => {}
+        (Some(x), Some(y)) => {
+            let ulps = x.maxdist.to_bits().abs_diff(y.maxdist.to_bits());
+            assert!(
+                ulps <= max_ulps,
+                "{what}: optimum differs by {ulps} ulps ({} vs {})",
+                x.maxdist,
+                y.maxdist
+            );
+        }
+        _ => panic!(
+            "{what}: feasibility differs ({:?} vs {:?})",
+            a.map(|x| x.maxdist),
+            b.map(|x| x.maxdist)
+        ),
+    }
+}
+
+/// Every pruning switch off alone, all four off together, and the
+/// tight MBR test on — each a configuration that must not move the
+/// optimum — with the ulps it may move the optimum's last bits by.
+///
+/// Switches that enlarge the candidate set (interest and
+/// social-distance pruning) can flip `verify_center` from per-user
+/// distance sweeps to per-POI sweeps, which sum the same shortest path
+/// in the opposite order: on this corpus the optimum then moves by up
+/// to 2 ulps. Every other row is bitwise.
+fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
+    let d = QueryOptions::default;
+    vec![
+        (
+            "no interest pruning",
+            QueryOptions {
+                use_interest_pruning: false,
+                ..d()
+            },
+            4,
+        ),
+        (
+            "no social-distance pruning",
+            QueryOptions {
+                use_social_distance_pruning: false,
+                ..d()
+            },
+            4,
+        ),
+        (
+            "no matching pruning",
+            QueryOptions {
+                use_matching_pruning: false,
+                ..d()
+            },
+            0,
+        ),
+        (
+            "no delta pruning",
+            QueryOptions {
+                use_delta_pruning: false,
+                ..d()
+            },
+            0,
+        ),
+        (
+            "no pruning",
+            QueryOptions {
+                use_interest_pruning: false,
+                use_social_distance_pruning: false,
+                use_matching_pruning: false,
+                use_delta_pruning: false,
+                ..d()
+            },
+            4,
+        ),
+        (
+            "tight MBR test",
+            QueryOptions {
+                use_tight_mbr_test: true,
+                ..d()
+            },
+            0,
+        ),
+    ]
+}
+
 fn threads_opts(threads: usize) -> QueryOptions {
     QueryOptions {
         refine_threads: threads,
@@ -98,6 +194,8 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
     let mut checked = 0usize;
     let mut answered = 0usize;
     let mut ch_engaged = 0usize;
+    let mut sampled = 0usize;
+    let unlimited = QueryBudget::unlimited();
     for seed in 0..4u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
         let engine = GpSsnEngine::build(&ssn, small_cfg(seed, None));
@@ -112,8 +210,55 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
             ch_engaged += (ch.metrics.ch_batches > 0) as usize;
             checked += 1;
             answered += dij.answer.is_some() as usize;
+
+            // Differential oracle: the default exact answer is the
+            // reference for every other configuration and mode.
+            let exact = ch.answer.as_ref();
+            for backend in [DistanceBackend::Dijkstra, DistanceBackend::Ch] {
+                for (name, row, max_ulps) in switch_rows() {
+                    let opts = QueryOptions {
+                        distance_backend: backend,
+                        ..row
+                    };
+                    let out = engine.query_with_options(&q, &opts);
+                    let what = format!("{name}, {backend:?}");
+                    assert_same_value(out.answer.as_ref(), exact, max_ulps, &what);
+                }
+            }
+            let statically_infeasible = engine
+                .try_query_with_options(&q, &QueryOptions::default(), &unlimited)
+                .is_err();
+            if statically_infeasible {
+                continue;
+            }
+            let top1 = engine
+                .try_query_top_k(&q, 1, &QueryOptions::default(), &unlimited)
+                .expect("top-1 runs");
+            assert_same_value(top1.answers.first(), exact, 0, "top-1 vs exact");
+            let approx = engine
+                .try_query_approximate(&q, 64, 7, &unlimited)
+                .expect("sampled query runs");
+            if let Some(a) = &approx.answer {
+                check_answer(&ssn, &q, a).expect("sampled answer violates Definition 5");
+                let e = exact.expect("sampler answered where exact found nothing");
+                // The sampler prices users by sweeps from their homes,
+                // the exact verifier often by sweeps from the POIs (see
+                // `switch_rows`), so "beating" the optimum must exceed
+                // those few ulps.
+                assert!(
+                    a.maxdist.to_bits() + 4 >= e.maxdist.to_bits(),
+                    "sampled ({}) beat exact ({})",
+                    a.maxdist,
+                    e.maxdist
+                );
+                sampled += 1;
+            }
         }
     }
+    assert!(
+        sampled >= 10,
+        "the sampler barely answered ({sampled} queries)"
+    );
     assert!(checked >= 200, "stress corpus too small: {checked}");
     assert!(answered >= 10, "too few feasible cases: {answered}");
     assert!(

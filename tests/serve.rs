@@ -1,14 +1,13 @@
 //! Serving-layer contract tests: the work-stealing batch scheduler is
-//! bit-identical to sequential and static-chunk execution at every
-//! thread count, the serve loop preserves submission order, admission
+//! bit-identical to sequential execution at every thread count, the
+//! serve loop preserves submission order, admission
 //! control sheds expired and overloaded requests *without engine work*,
 //! and the JSONL front-end turns malformed lines into in-order error
 //! records instead of aborting the stream.
 
 use gpssn::core::{
-    serve, serve_jsonl, BatchSchedule, Completion, EngineConfig, GpSsnAnswer, GpSsnEngine,
-    GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryOptions, QueryOutcome, ServeConfig,
-    ServeRequest, Submission,
+    serve, serve_jsonl, Completion, EngineConfig, GpSsnAnswer, GpSsnEngine, GpSsnError, GpSsnQuery,
+    OverloadPolicy, QueryBudget, QueryOptions, QueryOutcome, ServeConfig, ServeRequest, Submission,
 };
 use gpssn::obs::{json, Obs};
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
@@ -84,10 +83,10 @@ fn assert_same_outcome(
     }
 }
 
-/// The tentpole equivalence: work-stealing and static chunking produce
-/// bit-identical per-slot results to the sequential engine at every
-/// thread count, including 7 (more workers than a chunk boundary
-/// divides evenly) and 0 (auto-detect).
+/// The batch contract: work-stealing batches produce bit-identical
+/// per-slot results to the sequential engine at every thread count,
+/// including 7 (more workers than queries per worker divide evenly) and
+/// 0 (auto-detect).
 #[test]
 fn batch_schedules_bit_identical_across_thread_counts() {
     let ssn = dataset();
@@ -102,12 +101,10 @@ fn batch_schedules_bit_identical_across_thread_counts() {
         .collect();
 
     for threads in [1usize, 2, 7, 0] {
-        for schedule in [BatchSchedule::WorkStealing, BatchSchedule::StaticChunk] {
-            let got = engine.try_query_batch_scheduled(&queries, threads, &opts, &budget, schedule);
-            assert_eq!(got.len(), queries.len());
-            for (i, (g, s)) in got.iter().zip(&sequential).enumerate() {
-                assert_same_outcome(g, s, &format!("{schedule:?} threads={threads} slot {i}"));
-            }
+        let got = engine.try_query_batch(&queries, threads, &opts, &budget);
+        assert_eq!(got.len(), queries.len());
+        for (i, (g, s)) in got.iter().zip(&sequential).enumerate() {
+            assert_same_outcome(g, s, &format!("threads={threads} slot {i}"));
         }
     }
 }
