@@ -1,11 +1,9 @@
-//! Center-refinement benchmarks for the PR-2 fast paths: sequential vs
-//! parallel verification (intra-query worker threads over the candidate
-//! centers) and cold vs warm cross-query distance cache. All modes
-//! return bit-identical answers (see `tests/refinement_modes.rs`); this
-//! measures what that exactness costs or saves.
+//! Center-refinement benchmark: queries without and with a warm
+//! cross-query distance cache. Both return bit-identical answers (see
+//! `tests/refinement_modes.rs`); this measures what the cache saves.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpssn_core::{DistanceCacheConfig, EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gpssn_core::{DistanceCacheConfig, EngineConfig, GpSsnEngine, GpSsnQuery};
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 
 const SCALE: f64 = 0.1;
@@ -33,37 +31,7 @@ fn workload() -> Vec<GpSsnQuery> {
         .collect()
 }
 
-fn opts(threads: usize) -> QueryOptions {
-    QueryOptions {
-        refine_threads: threads,
-        ..Default::default()
-    }
-}
-
-/// Sequential vs parallel center verification, cache disabled so the
-/// threading dimension is isolated.
-fn bench_threads(c: &mut Criterion) {
-    let ssn = DatasetKind::Uni.build(SCALE, 42);
-    let eng = engine(&ssn, None);
-    let queries = workload();
-    let mut group = c.benchmark_group("refinement_threads");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-    for &threads in &[1usize, 2, 4] {
-        let o = opts(threads);
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &o, |b, o| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(eng.query_with_options(q, o));
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Cold vs warm distance cache at one thread. "cold" rebuilds nothing —
+/// Cold vs warm distance cache. "cold" rebuilds nothing —
 /// the cache is simply absent — while "warm" replays the workload
 /// against a cache already populated by a priming pass, the cross-query
 /// batch scenario the cache exists for.
@@ -117,38 +85,5 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full production stack (4 threads + warm cache) against the
-/// plain engine — the headline number for this PR.
-fn bench_combined(c: &mut Criterion) {
-    let ssn = DatasetKind::Uni.build(SCALE, 42);
-    let queries = workload();
-    let mut group = c.benchmark_group("refinement_combined");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-
-    let plain = engine(&ssn, None);
-    group.bench_function("plain", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(plain.query_with_options(q, &opts(1)));
-            }
-        });
-    });
-
-    let fast = engine(&ssn, Some(DistanceCacheConfig::default()));
-    for q in &queries {
-        fast.query(q); // prime
-    }
-    group.bench_function("parallel4_warm_cache", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(fast.query_with_options(q, &opts(4)));
-            }
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_threads, bench_cache, bench_combined);
+criterion_group!(benches, bench_cache);
 criterion_main!(benches);

@@ -51,7 +51,7 @@ use gpssn_social::{SocialPivots, UserId};
 use gpssn_spatial::Entry;
 use gpssn_ssn::SpatialSocialNetwork;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,18 +74,12 @@ pub struct EngineConfig {
     /// index file: I/O then counts misses only. `None` reproduces the
     /// paper's raw page-access metric.
     pub page_cache_capacity: Option<usize>,
-    /// Build a pruned-landmark (2-hop) labeling of `G_s` and use *exact*
-    /// hop distances for the object-level social-distance rule (Lemma 4
-    /// with the bound replaced by the true `dist_SN`). The paper's pivot
-    /// lower bounds remain the default; exact labels trade index build
-    /// time for maximal distance-pruning power.
-    pub exact_social_distance: bool,
-    /// Cross-query ball / `dist_RN` cache shared by every query (and
-    /// every refinement worker) this engine serves. Cached values are
-    /// bit-identical to recomputation (see [`crate::cache`]), so under
-    /// an unlimited budget answers are unchanged; under a tight budget
-    /// hits simply stretch how far the budget reaches (cached work
-    /// charges no Dijkstra settles). `None` disables caching.
+    /// Cross-query ball / `dist_RN` cache shared by every query this
+    /// engine serves. Cached values are bit-identical to recomputation
+    /// (see [`crate::cache`]), so under an unlimited budget answers are
+    /// unchanged; under a tight budget hits simply stretch how far the
+    /// budget reaches (cached work charges no Dijkstra settles). `None`
+    /// disables caching.
     pub distance_cache: Option<DistanceCacheConfig>,
     /// Telemetry sink shared by every query this engine serves: phase
     /// spans (text flamegraph / Chrome trace) plus per-query counters
@@ -106,7 +100,6 @@ impl Default for EngineConfig {
             pivot_select: PivotSelectConfig::default(),
             enumeration_cap: 200_000,
             page_cache_capacity: None,
-            exact_social_distance: false,
             distance_cache: Some(DistanceCacheConfig::default()),
             obs: None,
         }
@@ -188,17 +181,6 @@ pub struct QueryOptions {
     /// geometric `maxdist`/`mindist` comparison for Lemma 8 (the
     /// geometric test is sufficient-only; the tight test prunes more).
     pub use_tight_mbr_test: bool,
-    /// Worker threads for center refinement *within* one query. `1`
-    /// (the default) verifies centers sequentially; `0` uses the
-    /// machine's available parallelism. Under an untripped budget the
-    /// answer is bit-identical to the sequential one (see
-    /// [`crate::refinement::verify_center`]'s determinism note); under
-    /// a tripped budget parallel workers may get further before the
-    /// trip, so the anytime answer can legitimately differ (its gap
-    /// bound stays sound). Budgets remain global: all workers charge
-    /// the same meter. Top-k and sampled queries always verify on the
-    /// calling thread.
-    pub refine_threads: usize,
     /// Oracle serving refinement-time `dist_RN` rows and columns. The
     /// default [`DistanceBackend::Ch`] uses the road index's contraction
     /// hierarchy when it carries one and degrades to Dijkstra otherwise;
@@ -220,7 +202,6 @@ impl Default for QueryOptions {
             use_matching_pruning: true,
             use_delta_pruning: true,
             use_tight_mbr_test: false,
-            refine_threads: 1,
             distance_backend: DistanceBackend::Ch,
             degradation: DegradationPolicy::default(),
         }
@@ -237,8 +218,6 @@ pub struct GpSsnEngine<'a> {
     /// like a real database buffer manager, so hot pages (roots, upper
     /// index levels) stop costing physical reads after warm-up.
     page_cache: Option<std::sync::Mutex<gpssn_index::io::PageCache>>,
-    /// Exact 2-hop labels of `G_s` (when configured).
-    hop_labels: Option<gpssn_graph::HopLabels>,
     /// Cross-query ball / `dist_RN` cache (when configured).
     distance_cache: Option<DistanceCache>,
     /// Circuit breaker guarding the CH oracle across every query this
@@ -325,9 +304,6 @@ impl<'a> GpSsnEngine<'a> {
         let page_cache = cfg
             .page_cache_capacity
             .map(|cap| std::sync::Mutex::new(gpssn_index::io::PageCache::new(cap)));
-        let hop_labels = cfg
-            .exact_social_distance
-            .then(|| gpssn_graph::HopLabels::build(ssn.social().graph()));
         let distance_cache = cfg.distance_cache.as_ref().map(DistanceCache::new);
         GpSsnEngine {
             ssn,
@@ -335,7 +311,6 @@ impl<'a> GpSsnEngine<'a> {
             social_index,
             cfg,
             page_cache,
-            hop_labels,
             distance_cache,
             ch_breaker: CircuitBreaker::new(BreakerConfig::default()),
         }
@@ -780,15 +755,16 @@ impl<'a> GpSsnEngine<'a> {
         let mut scratch = PruningStats::default();
         let mut t = self.traverse(q, mode, opts, candidates, io, &mut scratch, &meter);
         t.centers.truncate(RESCUE_CENTERS);
-        let w =
-            CenterLoop::new(self, q, mode, candidates, &t.centers, opts, &meter, None).refine(0);
-        w.kept.into_iter().next().map(|(_, _, ans)| ans)
+        let mut cl = CenterLoop::new(self, q, mode, candidates, opts, &meter, None);
+        cl.refine(&t.centers);
+        cl.kept.into_iter().next()
     }
 
     /// The road-side best-first traversal of `I_R` (Algorithm 2 lines
     /// 11–28): candidate centers with their Eq. 17 lower bounds, sorted
-    /// by `(lb, id)` — ties broken by center id so every execution mode
-    /// agrees on the order (the parallel merge keys on it). A budget trip
+    /// by `(lb, id)` — ties broken by center id, so the verification
+    /// order (and with it which of two equal answers is kept) does not
+    /// depend on how the heap happened to pop them. A budget trip
     /// stops the traversal; heap pops come out in ascending `lb`, so the
     /// `lb` in hand bounds everything still queued.
     ///
@@ -966,11 +942,7 @@ impl<'a> GpSsnEngine<'a> {
                     continue;
                 }
                 let by_dist = opts.use_social_distance_pruning
-                    && match &self.hop_labels {
-                        // Exact mode: the true dist_SN replaces the bound.
-                        Some(labels) => labels.dist(q.user, u) as usize >= q.tau,
-                        None => prune_user_by_social_distance(uq_sn, idx.user_sn_dists(u), q.tau),
-                    };
+                    && prune_user_by_social_distance(uq_sn, idx.user_sn_dists(u), q.tau);
                 let by_interest =
                     opts.use_interest_pruning && region.prunes_point(self.ssn.social().interest(u));
                 if by_dist || by_interest {
@@ -1053,17 +1025,8 @@ impl<'a> GpSsnEngine<'a> {
         });
 
         let centers = std::mem::take(&mut t.centers);
-        let cl = CenterLoop::new(self, q, mode, candidates, &centers, opts, meter, obs);
-        // The refine span is opened by hand (not via `Obs::phase`)
-        // because its id seeds each worker's span parent, under which
-        // parallel workers hang their cross-thread `verify_center` spans.
-        let span = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span(mode.phase()));
-        let started = obs.map(|_| Instant::now());
-        let mut w = cl.refine(span.as_ref().map_or(0, |s| s.id()));
-        record_phase_ns(obs, mode.phase(), started);
-        drop(span);
+        let mut cl = CenterLoop::new(self, q, mode, candidates, opts, meter, obs);
+        gpssn_obs::phase(obs, mode.phase(), || cl.refine(&centers));
 
         let mut outstanding = t.outstanding;
         if meter.is_tripped() {
@@ -1072,43 +1035,35 @@ impl<'a> GpSsnEngine<'a> {
             // only widens the reported gap — conservative, never wrong).
             outstanding = t.deferred.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
         } else if !t.deferred.is_empty() {
-            let span = obs
-                .filter(|o| o.tracing_on())
-                .map(|o| o.tracer().span("refine_fallback"));
-            let started = obs.map(|_| Instant::now());
-            w.span_parent = span.as_ref().map_or(0, |s| s.id());
-            self.fallback(q, opts, &cl, &mut w, &mut t, io, stats);
-            record_phase_ns(obs, "refine_fallback", started);
+            gpssn_obs::phase(obs, "refine_fallback", || {
+                self.fallback(q, opts, &mut cl, &mut t, io, stats)
+            });
         }
-        w.note_workspace(meter);
+        cl.note_workspace();
 
-        stats.pairs_refined += w.pairs;
+        stats.pairs_refined += cl.pairs;
         stats.candidate_pois = centers.len();
-        let answers: Vec<GpSsnAnswer> = w.kept.into_iter().map(|(_, _, ans)| ans).collect();
-        let completion = completion_of(meter, &answers, mode.keep(), outstanding.min(w.unresolved));
-        (answers, t.delta, completion)
+        let completion =
+            completion_of(meter, &cl.kept, mode.keep(), outstanding.min(cl.unresolved));
+        (cl.kept, t.delta, completion)
     }
 
     /// Exactness fallback: the δ-deferred items whose `lb` still beats
     /// the incumbent, expanded in ascending `lb` order, their centers
-    /// verified by the main loop's per-center step on `w`.
-    #[allow(clippy::too_many_arguments)]
+    /// verified by the main loop's per-center step.
     fn fallback(
         &self,
         q: &GpSsnQuery,
         opts: &QueryOptions,
-        cl: &CenterLoop<'_>,
-        w: &mut Worker,
+        cl: &mut CenterLoop<'_>,
         t: &mut Traversal,
         io: &IoCounter,
         stats: &mut PruningStats,
     ) {
         let uq_interest = self.ssn.social().interest(q.user);
         let uq_rn = self.social_index.user_rn_dists(q.user);
-        // Admission and the stop test use the incumbent itself (not the
-        // tie-admitting verification bound): the pushed set fixes the
-        // heap's shape, and the shape decides which of two equal-`lb`
-        // centers is verified first.
+        // The pushed set fixes the heap's shape, and the shape decides
+        // which of two equal-`lb` centers is verified first.
         t.deferred.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut heap = MinHeap::new();
         for &(lb, item) in &t.deferred {
@@ -1116,16 +1071,13 @@ impl<'a> GpSsnEngine<'a> {
                 heap.push(lb, item);
             }
         }
-        // Fallback centers rank after every main-loop center, so a tie
-        // never displaces the main loop's answer.
-        let mut index = cl.centers.len();
         while let Some((lb, item)) = heap.pop() {
             if lb >= cl.kth() {
                 break;
             }
             cl.meter.note_pop();
             if cl.meter.is_tripped() {
-                w.unresolved = w.unresolved.min(lb);
+                cl.unresolved = cl.unresolved.min(lb);
                 break;
             }
             match item {
@@ -1150,10 +1102,9 @@ impl<'a> GpSsnEngine<'a> {
                     }
                 }
                 Item::Center(center) => {
-                    if !cl.step(w, index, lb, center) {
+                    if !cl.step(lb, center) {
                         break;
                     }
-                    index += 1;
                 }
             }
         }
@@ -1402,20 +1353,6 @@ fn finish_metrics(
     }
 }
 
-/// Records one phase duration into the `gpssn_phase_duration_ns`
-/// histogram; used where the phase's span is opened by hand (its id
-/// feeds `VerifyContext::span_parent`) so [`Obs::phase`] cannot wrap
-/// the work. `started` is `Some` exactly when `obs` is.
-fn record_phase_ns(obs: Option<&Obs>, name: &'static str, started: Option<Instant>) {
-    if let (Some(o), Some(t0)) = (obs, started) {
-        o.observe(
-            "gpssn_phase_duration_ns",
-            &[("phase", name)],
-            t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
-    }
-}
-
 /// Runs [`verify_center`] under the query's fault policy. An `Err`
 /// (broken internal invariant) is always absorbed as a query fault;
 /// under [`DegradationPolicy::Ladder`] a *panic* inside verification is
@@ -1616,11 +1553,11 @@ fn record_query(
 /// What a query computes. Besides its metric and phase labels, the one
 /// pipeline ([`GpSsnEngine::run`]) consults it only for the traversal's
 /// δ handling ([`GpSsnEngine::traverse`]), the per-center verifier and
-/// candidate filter ([`CenterLoop::step`]), the fan-out, and how many
-/// answers the collector keeps.
+/// candidate filter ([`CenterLoop::step`]), and how many answers the
+/// collector keeps.
 #[derive(Debug, Clone, Copy)]
 enum Mode {
-    /// The optimum (Algorithm 2); centers may be verified in parallel.
+    /// The optimum (Algorithm 2).
     Exact,
     /// The `k` best answers over distinct centers.
     TopK(usize),
@@ -1671,28 +1608,16 @@ struct Traversal {
     scand_ub: Vec<f64>,
 }
 
-/// One query's center loop: what every per-center step shares, across
-/// worker threads when exact refinement runs in parallel.
+/// One query's center loop, run on the calling thread: the main loop
+/// over the candidate centers, the δ-deferred fallback and the ladder's
+/// sampling rescue all verify through its per-center
+/// [`CenterLoop::step`].
 ///
-/// Workers claim centers in ascending `(lb, id)` order off a shared
-/// counter and verify against a shared monotone bound stored as atomic
-/// f64 bits (bit patterns of non-negative floats order like their
-/// values). When several workers race (exact mode with
-/// `refine_threads > 1`), each verification uses [`bound_above`] of the
-/// incumbent so *equal*-valued answers survive, and every merge keeps
-/// the lexicographically smallest `(value, claim index)`.
-///
-/// Under an untripped budget this reproduces the one-worker sweep
-/// bit-for-bit on any number of workers: the sweep's winner (the first
-/// center in sorted order achieving the optimum `v`) always satisfies
-/// `lb <= v <= incumbent`, so no worker ever skips it; its verification
-/// bound always exceeds `v`, and [`verify_center`] returns a
-/// bound-independent group; every other center either returns nothing,
-/// a larger value, or an equal value at a larger index — all of which
-/// lose the merge. A tripped budget may legitimately differ (workers
-/// got further before the trip); the reported gap stays sound because
-/// every claimed-but-unfinished center folds its `lb` into
-/// [`Worker::unresolved`].
+/// Centers are verified in the order they arrive — ascending `(lb, id)`
+/// in the main loop, ascending `lb` in the fallback — against the
+/// strict incumbent, the `k`-th kept value: a center whose `lb` reaches
+/// it stops the loop, and a later answer that only ties a kept one
+/// lands behind it.
 struct CenterLoop<'s> {
     engine: &'s GpSsnEngine<'s>,
     q: &'s GpSsnQuery,
@@ -1702,54 +1627,28 @@ struct CenterLoop<'s> {
     meter: &'s BudgetState,
     obs: Option<&'s Obs>,
     policy: DegradationPolicy,
-    /// The candidate centers, ascending by `(lb, id)`.
-    centers: &'s [(f64, PoiId)],
-    /// Scoped workers to fan out to (`1`: the calling thread alone).
-    threads: usize,
-    /// Index of the next unclaimed center.
-    next: AtomicUsize,
-    /// The `k`-th best value any worker holds, as f64 bits
-    /// (`f64::INFINITY` until some worker holds `k` answers).
-    kth_bits: AtomicU64,
-}
-
-/// One center-loop worker's private state.
-struct Worker {
     ws: DijkstraWorkspace,
     chws: gpssn_graph::ChSearch,
     /// The sampler's RNG: `Some` exactly in sampled mode.
     rng: Option<rand::rngs::StdRng>,
-    /// Answers kept so far, ascending by `(maxdist, claim index)`; at
-    /// most [`Mode::keep`] of them, over distinct `(users, pois)`.
-    kept: Vec<(f64, usize, GpSsnAnswer)>,
+    /// Answers kept so far, ascending by `maxdist` (equal values in the
+    /// order found); at most [`Mode::keep`] of them, over distinct
+    /// `(users, pois)`.
+    kept: Vec<GpSsnAnswer>,
     /// Subsets examined.
     pairs: u64,
     /// Smallest `lb` left unresolved by a budget trip or an absorbed
     /// fault (`f64::INFINITY` when every center was either verified or
     /// soundly pruned).
     unresolved: f64,
-    /// Trace-span id the `verify_center` spans hang under.
-    span_parent: u64,
-}
-
-impl Worker {
-    fn note_workspace(&self, meter: &BudgetState) {
-        meter.note_workspace(
-            self.ws.resets() + self.chws.resets(),
-            self.ws.recycles() + self.chws.recycles(),
-            self.chws.unpacks(),
-        );
-    }
 }
 
 impl<'s> CenterLoop<'s> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         engine: &'s GpSsnEngine<'s>,
         q: &'s GpSsnQuery,
         mode: Mode,
         candidates: &'s [UserId],
-        centers: &'s [(f64, PoiId)],
         opts: &QueryOptions,
         meter: &'s BudgetState,
         obs: Option<&'s Obs>,
@@ -1763,130 +1662,56 @@ impl<'s> CenterLoop<'s> {
             meter,
             obs,
             policy: opts.degradation,
-            centers,
-            // Only the exact optimum merges deterministically across
-            // workers; a top-k list and a sampler's RNG stream are
-            // ordered state, so those modes verify on the calling thread.
-            threads: match mode {
-                Mode::Exact => resolve_threads(opts.refine_threads, centers.len()),
-                Mode::TopK(_) | Mode::Sampled { .. } => 1,
-            },
-            next: AtomicUsize::new(0),
-            kth_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        }
-    }
-
-    fn worker(&self, span_parent: u64) -> Worker {
-        Worker {
             ws: DijkstraWorkspace::new(),
             chws: gpssn_graph::ChSearch::new(),
-            rng: match self.mode {
+            rng: match mode {
                 Mode::Sampled { seed, .. } => Some(rand::rngs::StdRng::seed_from_u64(seed)),
                 Mode::Exact | Mode::TopK(_) => None,
             },
             kept: Vec::new(),
             pairs: 0,
             unresolved: f64::INFINITY,
-            span_parent,
         }
     }
 
-    /// The `k`-th best value held so far.
+    /// The `k`-th best value kept so far (`f64::INFINITY` until `k`
+    /// answers are kept) — the bound every center is verified against.
     fn kth(&self) -> f64 {
-        f64::from_bits(self.kth_bits.load(Ordering::Relaxed))
+        self.kept
+            .get(self.mode.keep() - 1)
+            .map_or(f64::INFINITY, |a| a.maxdist)
     }
 
-    /// The bound a center is verified against. Racing workers admit
-    /// ties with the incumbent (see the type docs); a lone worker keeps
-    /// the strict bound, which skips every tie — so a sampler draws
-    /// exactly the groups it always drew.
-    fn bound(&self) -> f64 {
-        if self.threads > 1 {
-            bound_above(self.kth())
-        } else {
-            self.kth()
-        }
-    }
-
-    /// Verifies the centers on the calling thread plus, when
-    /// `threads > 1`, that many scoped workers, and returns the calling
-    /// thread's worker with every other worker merged into it.
-    fn refine(&self, span_parent: u64) -> Worker {
-        let mut main = self.worker(span_parent);
-        if self.threads <= 1 {
-            self.claim(&mut main, usize::MAX);
-            return main;
-        }
-        // Pilot: verify the cheapest center on the calling thread before
-        // fanning out, so workers start with an incumbent bound instead
-        // of all verifying their first claim against `∞` (which is
-        // redundant work the one-worker sweep would have skipped). The
-        // pilot is simply claim 0 of the same protocol, so determinism
-        // is untouched.
-        self.claim(&mut main, 1);
-        // If the query thread is buffering spans for tail sampling,
-        // workers adopt the same capture so their verification spans
-        // stay with (and live or die with) the query's trace.
-        let capture = gpssn_obs::trace::capture_handle();
-        let others: Vec<Worker> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _adopt = capture.as_ref().map(gpssn_obs::trace::adopt_capture);
-                        let mut w = self.worker(span_parent);
-                        self.claim(&mut w, usize::MAX);
-                        w
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(w) => w,
-                    // Re-raise worker panics on the query thread so
-                    // the batch isolation layer sees them.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        for w in others {
-            w.note_workspace(self.meter);
-            main.pairs += w.pairs;
-            main.unresolved = main.unresolved.min(w.unresolved);
-            for (_, i, ans) in w.kept {
-                self.keep(&mut main, i, ans);
-            }
-        }
-        main
-    }
-
-    /// Claims up to `claims` centers off the shared counter and steps
-    /// through them until one says stop.
-    fn claim(&self, w: &mut Worker, claims: usize) {
-        for _ in 0..claims {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(lb, center)) = self.centers.get(i) else {
-                break;
-            };
-            if !self.step(w, i, lb, center) {
+    /// Steps through `centers` (ascending `(lb, id)`) until one says
+    /// stop.
+    fn refine(&mut self, centers: &[(f64, PoiId)]) {
+        for &(lb, center) in centers {
+            if !self.step(lb, center) {
                 break;
             }
         }
+    }
+
+    fn note_workspace(&self) {
+        self.meter.note_workspace(
+            self.ws.resets() + self.chws.resets(),
+            self.ws.recycles() + self.chws.recycles(),
+            self.chws.unpacks(),
+        );
     }
 
     /// The per-center step every mode shares: stop on a budget trip or
-    /// once `lb` reaches the mode's bound, drop candidates that cannot
-    /// beat it, verify `center` (exactly, or by the sampler), and hand
-    /// any answer to the collector. `i` is the center's rank in the
-    /// verification order. Returns `false` when the loop must stop —
-    /// centers arrive in ascending `lb`, so none after this one can do
-    /// better.
-    fn step(&self, w: &mut Worker, i: usize, lb: f64, center: PoiId) -> bool {
+    /// once `lb` reaches the incumbent, drop candidates that cannot beat
+    /// it, verify `center` (exactly, or by the sampler), and hand any
+    /// answer to the collector. Returns `false` when the loop must stop
+    /// — centers arrive in ascending `lb`, so none after this one can
+    /// do better.
+    fn step(&mut self, lb: f64, center: PoiId) -> bool {
         if self.meter.is_tripped() {
-            w.unresolved = w.unresolved.min(lb);
+            self.unresolved = self.unresolved.min(lb);
             return false;
         }
-        let bound = self.bound();
+        let bound = self.kth();
         if lb >= bound {
             return false;
         }
@@ -1900,22 +1725,21 @@ impl<'s> CenterLoop<'s> {
             Mode::Exact | Mode::Sampled { .. } => bound,
         };
         let filtered = engine.filter_candidates_for_center(self.candidates, center, filter_bound);
-        let found = match (self.mode, w.rng.as_mut()) {
+        let found = match (self.mode, self.rng.as_mut()) {
             (Mode::Sampled { samples, .. }, Some(rng)) => crate::sampling::verify_center_sampled(
                 engine.ssn, self.q, &filtered, center, bound, samples, rng, self.meter,
             ),
             _ => {
                 let mut ctx = VerifyContext {
-                    ws: &mut w.ws,
+                    ws: &mut self.ws,
                     ch: self.ch.map(|oracle| ChBackend {
                         oracle,
-                        search: &mut w.chws,
+                        search: &mut self.chws,
                     }),
                     cache: engine.distance_cache.as_ref(),
                     breaker: Some(&engine.ch_breaker),
                     budget: self.meter,
                     obs: self.obs,
-                    span_parent: w.span_parent,
                 };
                 let Some(v) = verify_center_guarded(
                     engine.ssn,
@@ -1927,78 +1751,47 @@ impl<'s> CenterLoop<'s> {
                     &mut ctx,
                     self.policy,
                 ) else {
-                    w.unresolved = w.unresolved.min(lb);
+                    self.unresolved = self.unresolved.min(lb);
                     return true;
                 };
-                w.pairs += v.subsets_examined;
+                self.pairs += v.subsets_examined;
                 v.answer
             }
         };
         if let Some(ans) = found {
-            self.keep(w, i, ans);
+            self.keep(ans);
         }
         if self.meter.is_tripped() {
             // This center's verification was itself cut short, so it
             // remains unresolved (conservative: folding its lb in only
             // widens the reported gap).
-            w.unresolved = w.unresolved.min(lb);
+            self.unresolved = self.unresolved.min(lb);
             return false;
         }
         true
     }
 
-    /// The collector: inserts `ans` (found at rank `i`) into the
-    /// worker's kept list in `(maxdist, rank)` order, and lowers the
-    /// shared bound once the list is full. An answer repeating a kept
-    /// `(users, pois)` pair replaces it only if it orders first — two
-    /// centers with the same ball can price the same group an ulp
-    /// apart (see [`CenterLoop::step`]).
-    fn keep(&self, w: &mut Worker, i: usize, ans: GpSsnAnswer) {
-        let before = |&(v, j, _): &(f64, usize, GpSsnAnswer)| {
-            v.total_cmp(&ans.maxdist).then(j.cmp(&i)).is_lt()
-        };
-        if let Some(dup) = w
+    /// The collector: inserts `ans` into the kept list behind every
+    /// kept answer of equal or smaller `maxdist`, keeping at most
+    /// [`Mode::keep`]. An answer repeating a kept `(users, pois)` pair
+    /// replaces it only if strictly smaller — two centers with the same
+    /// ball can price the same group an ulp apart (see
+    /// [`CenterLoop::step`]).
+    fn keep(&mut self, ans: GpSsnAnswer) {
+        let before = |b: &GpSsnAnswer| b.maxdist.total_cmp(&ans.maxdist).is_le();
+        if let Some(dup) = self
             .kept
             .iter()
-            .position(|(_, _, b)| b.users == ans.users && b.pois == ans.pois)
+            .position(|b| b.users == ans.users && b.pois == ans.pois)
         {
-            if before(&w.kept[dup]) {
+            if before(&self.kept[dup]) {
                 return;
             }
-            w.kept.remove(dup);
+            self.kept.remove(dup);
         }
-        let at = w.kept.partition_point(before);
-        w.kept.insert(at, (ans.maxdist, i, ans));
-        let keep = self.mode.keep();
-        w.kept.truncate(keep);
-        if let Some(&(kth, _, _)) = w.kept.get(keep - 1) {
-            atomic_min_f64(&self.kth_bits, kth);
-        }
-    }
-}
-
-/// The smallest f64 strictly above non-negative `v` (`INFINITY` maps to
-/// itself). Verifying against `bound_above(best)` admits answers *equal*
-/// to the incumbent, letting ties resolve deterministically by center
-/// order instead of by race outcome.
-fn bound_above(v: f64) -> f64 {
-    if v == f64::INFINITY {
-        f64::INFINITY
-    } else {
-        f64::from_bits(v.to_bits() + 1)
-    }
-}
-
-/// Lowers the shared bound (IEEE-754 bits of a non-negative f64) to `v`
-/// if `v` is smaller; monotone and lock-free. Bit patterns of
-/// non-negative floats order identically to their values.
-fn atomic_min_f64(best: &AtomicU64, v: f64) {
-    let mut cur = best.load(Ordering::Relaxed);
-    while v < f64::from_bits(cur) {
-        match best.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(c) => cur = c,
-        }
+        let at = self.kept.partition_point(before);
+        self.kept.insert(at, ans);
+        self.kept.truncate(self.mode.keep());
     }
 }
 
@@ -2053,10 +1846,10 @@ fn unwrap_outcome(res: Result<QueryOutcome, GpSsnError>) -> QueryOutcome {
 
 /// Resolves a requested thread count against the number of work items:
 /// `0` means the machine's available parallelism, and counts beyond the
-/// item count are clamped (one item still gets one thread). Every
-/// multi-threaded entry point — the batch paths, the serving layer, and
-/// intra-query [`QueryOptions::refine_threads`] — resolves through this
-/// one helper so `threads == 0` cannot drift between them.
+/// item count are clamped (one item still gets one thread). Both
+/// multi-threaded entry points — [`GpSsnEngine::try_query_batch`] and
+/// the serving layer — resolve through this one helper so
+/// `threads == 0` cannot drift between them.
 pub(crate) fn resolve_threads(requested: usize, items: usize) -> usize {
     let t = match requested {
         0 => std::thread::available_parallelism()
@@ -2234,7 +2027,6 @@ mod tests {
                 use_delta_pruning: false,
                 collect_stats: false,
                 use_tight_mbr_test: false,
-                refine_threads: 1,
                 distance_backend: DistanceBackend::Dijkstra,
                 degradation: DegradationPolicy::FailFast,
             },

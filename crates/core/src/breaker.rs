@@ -93,8 +93,8 @@ struct Inner {
     backoff_level: u32,
 }
 
-/// See the module docs. Shared by reference across refinement workers;
-/// internally a mutex (one uncontended lock per distance batch — noise
+/// See the module docs. Shared by reference across every query the
+/// engine serves; internally a mutex (one uncontended lock per distance batch — noise
 /// next to the batch itself).
 #[derive(Debug)]
 pub struct CircuitBreaker {

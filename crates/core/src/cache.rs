@@ -1,4 +1,4 @@
-//! Cross-query distance cache shared by refinement workers.
+//! Cross-query distance cache shared by every query an engine serves.
 //!
 //! Verifying a center recomputes two expensive artifacts that depend
 //! only on the immutable network, never on the query's social
@@ -20,15 +20,15 @@
 //!   to reconcile. Keying the direction means a hit only ever replaces
 //!   a run that would have produced the very same bits.
 //!
-//! The cache is sharded (one mutex per shard) so parallel refinement
-//! workers and batch query threads do not serialize on a single lock,
-//! and each shard is capacity-bounded with FIFO eviction — an evicted
-//! entry is simply recomputed, so eviction can never change results. A
-//! shard whose mutex was poisoned by a panicking worker recovers the
-//! inner value ([`std::sync::Mutex::into_inner`] semantics): the map is
-//! either intact or mid-insert of a single entry, and every stored
-//! value is immutable once present, so the worst case is one lost
-//! insert — never a wrong distance.
+//! The cache is sharded (one mutex per shard) so batch and serve
+//! workers answering queries on one engine do not serialize on a single
+//! lock, and each shard is capacity-bounded with FIFO eviction — an
+//! evicted entry is simply recomputed, so eviction can never change
+//! results. A shard whose mutex was poisoned by a panicking query
+//! recovers the inner value ([`std::sync::Mutex::into_inner`]
+//! semantics): the map is either intact or mid-insert of a single
+//! entry, and every stored value is immutable once present, so the
+//! worst case is one lost insert — never a wrong distance.
 
 use gpssn_road::PoiId;
 use gpssn_social::UserId;
@@ -116,8 +116,12 @@ impl<K: Eq + Hash + Clone, V: Clone> Shard<K, V> {
     }
 }
 
-/// Lifetime counters of one [`DistanceCache`] (never reset; a per-query
-/// view lives in [`crate::CacheStats`]). All sums saturate.
+/// Lifetime counters of one [`DistanceCache`] (never reset). They use
+/// the per-query definition of [`crate::CacheStats`], so they equal the
+/// sum of every served query's counters: one ball lookup per
+/// [`DistanceCache::get_ball`] probe, and one `dist_RN` lookup per value
+/// a distance row or column needed — all hits when the whole run was
+/// resident, all misses when it fell back to a batch. All sums saturate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLifetimeStats {
     /// Ball lookups served from the cache.
@@ -126,9 +130,9 @@ pub struct CacheLifetimeStats {
     pub ball_misses: u64,
     /// Ball entries displaced by the capacity bound.
     pub ball_evictions: u64,
-    /// `dist_RN` lookups served from the cache.
+    /// `dist_RN` values served from the cache.
     pub dist_hits: u64,
-    /// `dist_RN` lookups that missed.
+    /// `dist_RN` values recomputed because their row or column missed.
     pub dist_misses: u64,
     /// `dist_RN` entries displaced by the capacity bound.
     pub dist_evictions: u64,
@@ -156,9 +160,8 @@ pub struct ShardOccupancy {
 }
 
 /// Sharded, capacity-bounded cache of road-network balls and exact
-/// `dist_RN` values, shared across queries (and across refinement
-/// workers within one query). See the module docs for the exactness
-/// argument.
+/// `dist_RN` values, shared across queries. See the module docs for the
+/// exactness argument.
 pub struct DistanceCache {
     balls: Vec<Mutex<Shard<BallKey, BallRow>>>,
     dists: Vec<Mutex<Shard<DistKey, f64>>>,
@@ -246,21 +249,27 @@ impl DistanceCache {
     }
 
     /// The cached `dist_RN(user, poi)` computed in direction `dir`, if
-    /// present.
+    /// present. Not counted: a probe is one value of a row or column,
+    /// which the caller records as a whole with
+    /// [`DistanceCache::note_dist`].
     pub fn get_dist(&self, user: UserId, poi: PoiId, dir: DistDir) -> Option<f64> {
         if gpssn_failpoint::failpoint!("cache::spurious_miss") {
-            self.dist_misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let key = (user, poi, dir);
-        let hit = lock_shard(&self.dists[shard_of(&key, self.dists.len())]).get(&key);
-        let tally = if hit.is_some() {
+        lock_shard(&self.dists[shard_of(&key, self.dists.len())]).get(&key)
+    }
+
+    /// Records `n` `dist_RN` lookups of one row or column: `hit = true`
+    /// when all `n` values were served from the cache, `false` when the
+    /// run was recomputed.
+    pub(crate) fn note_dist(&self, hit: bool, n: u64) {
+        let tally = if hit {
             &self.dist_hits
         } else {
             &self.dist_misses
         };
-        tally.fetch_add(1, Ordering::Relaxed);
-        hit
+        tally.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Stores `dist_RN(user, poi)` computed in direction `dir`.
@@ -369,17 +378,29 @@ mod tests {
         // Fresh cache: all-zero stats and a safe hit rate.
         assert_eq!(c.lifetime_stats(), CacheLifetimeStats::default());
         assert_eq!(c.lifetime_stats().hit_rate(), 0.0);
+        // Ball probes count one lookup each.
+        c.put_ball(3, 2.5, Arc::new(vec![(7, 1.5)]));
+        assert!(c.get_ball(3, 2.5).is_some()); // hit
+        assert!(c.get_ball(4, 2.5).is_none()); // miss
+
+        // `dist_RN` probes count nothing; the caller records each row or
+        // column as a whole: a resident 3-value run, then a recomputed
+        // 2-value run.
         c.put_dist(1, 1, DistDir::FromUser, 1.0);
-        assert!(c.get_dist(1, 1, DistDir::FromUser).is_some()); // hit
-        assert!(c.get_dist(2, 2, DistDir::FromUser).is_none()); // miss
+        assert!(c.get_dist(1, 1, DistDir::FromUser).is_some());
+        assert!(c.get_dist(2, 2, DistDir::FromUser).is_none());
+        assert_eq!(c.lifetime_stats().dist_hits, 0);
+        assert_eq!(c.lifetime_stats().dist_misses, 0);
+        c.note_dist(true, 3);
+        c.note_dist(false, 2);
         for i in 0..10u32 {
             c.put_dist(i, 0, DistDir::FromPoi, i as f64); // overflows cap 4
         }
         let s = c.lifetime_stats();
-        assert_eq!(s.dist_hits, 1);
-        assert_eq!(s.dist_misses, 1);
+        assert_eq!((s.ball_hits, s.ball_misses), (1, 1));
+        assert_eq!((s.dist_hits, s.dist_misses), (3, 2));
         assert!(s.dist_evictions >= 6, "expected evictions, got {s:?}");
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+        assert!((s.hit_rate() - 4.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -253,12 +253,10 @@ pub const DEADLINE_CHECK_PERIOD: u64 = 64;
 /// state is sticky — every later check reports the same [`Trip`] so the
 /// whole pipeline unwinds cooperatively.
 ///
-/// Counters are relaxed atomics so one meter can be shared by the
-/// intra-query parallel refinement workers (`&self` everywhere, `Sync`);
-/// one instance still serves exactly one query. Caps remain *global*
-/// across workers: the combined work of all threads is charged to the
-/// same counters, so a budget of `N` settles admits `N` settles total,
-/// not `N` per thread.
+/// Counters are relaxed atomics, so every stage of the query charges the
+/// one meter through `&self` (and the meter stays `Sync`); one instance
+/// serves exactly one query, and a budget of `N` settles admits `N`
+/// settles across all of that query's stages.
 #[derive(Debug)]
 pub struct BudgetState {
     deadline_at: Option<Instant>,
@@ -284,14 +282,14 @@ pub struct BudgetState {
     ch_settles: AtomicU64,
     /// Plain-Dijkstra batches (the non-CH complement of `ch_batches`).
     dijkstra_batches: AtomicU64,
-    /// Workspace telemetry folded in by the refinement workers: runs
+    /// Workspace telemetry folded in by the center loop: runs
     /// prepared, runs that reused already-sized storage, and CH near-tie
     /// path unpacks.
     ws_resets: AtomicU64,
     heap_recycles: AtomicU64,
     ch_unpacks: AtomicU64,
-    /// Faults that cost the query verified work (a refinement worker
-    /// panic caught and absorbed): the center involved is unresolved,
+    /// Faults that cost the query verified work (a refinement panic
+    /// caught and absorbed): the center involved is unresolved,
     /// so a nonzero count disqualifies the `Exact` completion even if
     /// no budget tripped.
     faults: AtomicU64,
@@ -379,7 +377,7 @@ impl BudgetState {
         let n = counter.fetch_add(1, Ordering::Relaxed);
         if n >= max {
             // Uncount the tripping attempt so the reported metric never
-            // exceeds the budget, even when several workers race here.
+            // exceeds the budget.
             counter.fetch_sub(1, Ordering::Relaxed);
             return self.trip_now(kind);
         }
@@ -562,8 +560,8 @@ impl BudgetState {
     }
 
     fn trip_now(&self, t: Trip) -> Option<Trip> {
-        // First trip wins; later (possibly different) trips from racing
-        // workers keep reporting the original cause.
+        // First trip wins; later (possibly different) trips keep
+        // reporting the original cause.
         match self.tripped.compare_exchange(
             TRIP_NONE,
             trip_encode(t),

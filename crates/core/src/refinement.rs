@@ -54,15 +54,13 @@ pub struct CenterVerification {
     pub subsets_examined: u64,
 }
 
-/// Per-worker state threaded through [`verify_center`]: a reusable
+/// Per-query state threaded through [`verify_center`]: a reusable
 /// Dijkstra workspace (allocation-free repeated runs), the optional
-/// cross-query [`DistanceCache`], and the query's budget meter. In
-/// parallel refinement each worker owns its workspace while the cache
-/// and budget are shared.
+/// cross-query [`DistanceCache`], and the query's budget meter.
 pub struct VerifyContext<'a> {
-    /// Reused across every Dijkstra this worker runs.
+    /// Reused across every Dijkstra this query runs.
     pub ws: &'a mut DijkstraWorkspace,
-    /// Contraction-hierarchy oracle plus this worker's reusable CH
+    /// Contraction-hierarchy oracle plus this query's reusable CH
     /// workspace. `Some` routes every `dist_RN` row/column through the
     /// oracle (answers are bit-identical to the Dijkstra path — see
     /// `gpssn_graph::ch`); ball computation always stays on Dijkstra
@@ -76,21 +74,19 @@ pub struct VerifyContext<'a> {
     /// failures open the breaker and later batches skip the oracle
     /// until a half-open probe succeeds (see [`crate::breaker`]).
     pub breaker: Option<&'a CircuitBreaker>,
-    /// The query's budget meter (shared across workers).
+    /// The query's budget meter.
     pub budget: &'a BudgetState,
-    /// Telemetry sink, if the engine has one attached.
+    /// Telemetry sink, if the engine has one attached. Each verified
+    /// center opens a `verify_center` span under the enclosing
+    /// refinement phase's span.
     pub obs: Option<&'a gpssn_obs::Obs>,
-    /// Trace-span id of the enclosing refinement phase (0 when tracing
-    /// is off); each verified center opens a `verify_center` span under
-    /// it, which works across worker threads.
-    pub span_parent: u64,
 }
 
-/// A CH oracle handle paired with a per-worker search workspace.
+/// A CH oracle handle paired with a reusable search workspace.
 pub struct ChBackend<'a> {
     /// The road index's contraction hierarchy.
     pub oracle: &'a ChOracle,
-    /// Reused across every CH batch this worker runs.
+    /// Reused across every CH batch this query runs.
     pub search: &'a mut ChSearch,
 }
 
@@ -177,12 +173,14 @@ fn row_from_user(
             });
         if all_hit {
             ctx.budget.note_dist_cache(true, r_ids.len() as u64);
+            cache.note_dist(true, r_ids.len() as u64);
             return Some(row);
         }
     }
     let row = dist_batch(ssn, ctx, &ssn.home(user), positions);
     if let Some(cache) = ctx.cache {
         ctx.budget.note_dist_cache(false, r_ids.len() as u64);
+        cache.note_dist(false, r_ids.len() as u64);
         for (&o, &d) in r_ids.iter().zip(&row) {
             cache.put_dist(user, o, DistDir::FromUser, d);
         }
@@ -219,12 +217,14 @@ fn col_from_poi(
             });
         if all_hit {
             ctx.budget.note_dist_cache(true, eligible.len() as u64);
+            cache.note_dist(true, eligible.len() as u64);
             return Some(col);
         }
     }
     let col = dist_batch(ssn, ctx, pos, homes);
     if let Some(cache) = ctx.cache {
         ctx.budget.note_dist_cache(false, eligible.len() as u64);
+        cache.note_dist(false, eligible.len() as u64);
         for (&u, &d) in eligible.iter().zip(&col) {
             cache.put_dist(u, poi, DistDir::FromPoi, d);
         }
@@ -248,9 +248,7 @@ fn col_from_poi(
 /// group is the one found at the minimal feasible cost-prefix `k*` — a
 /// pure function of the center, the exact user costs, and the query's
 /// social constraints. Any `best_so_far` larger than the center's
-/// optimal value yields the same group bit-for-bit, which is what lets
-/// parallel refinement (whose workers race the shared bound downward)
-/// reproduce the sequential answer exactly.
+/// optimal value yields the same group bit-for-bit.
 ///
 /// **Errors.** `Err` means an internal invariant was violated (a group
 /// member missing from the cost table) — never a budget trip, which is
@@ -272,13 +270,13 @@ pub fn verify_center(
     if gpssn_failpoint::failpoint!("refine::verify_center") {
         panic!("injected fault: refine::verify_center (center {center})");
     }
-    // Opened with an explicit parent so worker threads chain under the
-    // refinement phase; nested spans (ball, distance batches) pick this
-    // span up through the thread-local current-span cell.
-    let _vspan = ctx.obs.filter(|o| o.tracing_on()).map(|o| {
-        o.tracer()
-            .span_with_parent("verify_center", ctx.span_parent)
-    });
+    // Nests under the refinement phase's span, and the nested spans
+    // (ball, distance batches) under this one, through the thread-local
+    // current-span cell.
+    let _vspan = ctx
+        .obs
+        .filter(|o| o.tracing_on())
+        .map(|o| o.tracer().span("verify_center"));
     let mut out = CenterVerification {
         answer: None,
         subsets_examined: 0,
@@ -536,7 +534,6 @@ mod tests {
             breaker: None,
             budget: &budget,
             obs: None,
-            span_parent: 0,
         };
         verify_center(ssn, q, candidates, center, best, usize::MAX, &mut ctx)
             .expect("no invariant faults in tests")

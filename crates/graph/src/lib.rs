@@ -29,7 +29,6 @@ pub mod components;
 pub mod csr;
 pub mod dijkstra;
 pub mod heap;
-pub mod hop_labels;
 pub mod partition;
 pub mod sampling;
 pub mod subgraph;
@@ -44,7 +43,6 @@ pub use dijkstra::{
     INFINITY,
 };
 pub use heap::IndexedMinHeap;
-pub use hop_labels::HopLabels;
 pub use partition::{partition_graph, Partitioning};
 pub use sampling::{IndexSampler, ValueDistribution};
 pub use subgraph::enumerate_connected_subsets;

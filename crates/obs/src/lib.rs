@@ -28,10 +28,7 @@ pub use metrics::{
     Registry, Snapshot, HIST_BUCKETS,
 };
 pub use tail::{TailConfig, TailDecision, TailSampler};
-pub use trace::{
-    adopt_capture, capture_handle, chrome_trace_json, text_flamegraph, CaptureAdoptGuard,
-    CaptureHandle, Span, SpanRecord, TraceCapture, Tracer,
-};
+pub use trace::{chrome_trace_json, text_flamegraph, Span, SpanRecord, TraceCapture, Tracer};
 pub use window::{
     RollingWindow, ServeClass, SloConfig, SloMonitor, SloSnapshot, WindowConfig, WindowHistogram,
 };

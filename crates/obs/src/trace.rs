@@ -8,18 +8,19 @@
 //! 2. *No allocation on the hot path.* Span names are `&'static str`;
 //!    a finished span is one fixed-size record pushed into a bounded
 //!    ring (oldest records overwritten, never a reallocation storm).
-//! 3. *Cross-thread parentage.* Within a thread, parent ids come from a
-//!    thread-local current-span cell, so nesting is implicit. Worker
-//!    threads (parallel center refinement) receive the parent id
-//!    explicitly via [`Tracer::span_with_parent`].
+//! 3. *Implicit parentage.* Parent ids come from a thread-local
+//!    current-span cell, so nesting follows scope: a query's spans all
+//!    live on the thread that answers it.
 //!
 //! Records land in the ring when the span *ends*, so children precede
 //! their parents in the buffer; renderers sort by start time and treat
 //! records whose parent was evicted from the ring as roots.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One finished span. Timestamps are nanoseconds since the tracer's
@@ -70,69 +71,23 @@ thread_local! {
     /// Active per-query capture buffer on this thread, if any. While
     /// set, finished spans land here instead of the tracer's rings —
     /// the tail sampler later commits or discards the whole buffer.
-    static CAPTURE: std::cell::RefCell<Option<Arc<CaptureInner>>> =
-        const { std::cell::RefCell::new(None) };
+    static CAPTURE: RefCell<Option<CaptureBuf>> = const { RefCell::new(None) };
 }
 
-/// Shared buffer behind one in-flight query's capture: the query
-/// thread and any adopted workers push finished spans here.
-#[derive(Debug, Default)]
-struct CaptureInner {
-    spans: Mutex<Vec<SpanRecord>>,
-}
-
-impl CaptureInner {
-    fn push(&self, rec: SpanRecord) {
-        self.spans
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(rec);
-    }
-}
-
-/// Cloneable, `Send` reference to an active capture — hand it to worker
-/// threads so their spans join the query's buffer (see
-/// [`adopt_capture`]).
-#[derive(Debug, Clone)]
-pub struct CaptureHandle(Arc<CaptureInner>);
-
-/// The capture handle active on this thread, if any. Capture it on the
-/// query thread *before* spawning workers.
-pub fn capture_handle() -> Option<CaptureHandle> {
-    CAPTURE.with(|c| c.borrow().as_ref().map(|a| CaptureHandle(Arc::clone(a))))
-}
-
-/// Routes this thread's finished spans into `handle`'s buffer until the
-/// returned guard drops (restoring whatever capture was active before).
-/// Worker threads adopt the spawning query's capture with this.
-pub fn adopt_capture(handle: &CaptureHandle) -> CaptureAdoptGuard {
-    let prev = CAPTURE.with(|c| c.borrow_mut().replace(Arc::clone(&handle.0)));
-    CaptureAdoptGuard { prev }
-}
-
-/// RAII guard from [`adopt_capture`].
-#[must_use = "dropping the guard immediately ends the adoption"]
-pub struct CaptureAdoptGuard {
-    prev: Option<Arc<CaptureInner>>,
-}
-
-impl Drop for CaptureAdoptGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        CAPTURE.with(|c| *c.borrow_mut() = prev);
-    }
-}
+/// Buffer behind one in-flight query's capture, shared by its
+/// [`TraceCapture`] and the thread-local `CAPTURE` cell of the thread
+/// that answers the query.
+type CaptureBuf = Rc<RefCell<Vec<SpanRecord>>>;
 
 /// An in-flight per-query span buffer started by
 /// [`Tracer::begin_capture`]. While alive, every span finished on this
-/// thread (and on threads that [`adopt_capture`] its handle) collects
-/// here instead of the tracer's rings. Consume with
+/// thread collects here instead of the tracer's rings. Consume with
 /// [`TraceCapture::commit`] to publish the buffered spans to the sink,
 /// or just drop it to discard them — the tail-sampling primitive.
 #[must_use = "an unbound capture buffers nothing; commit or drop it explicitly"]
 pub struct TraceCapture {
-    inner: Arc<CaptureInner>,
-    prev: Option<Arc<CaptureInner>>,
+    inner: CaptureBuf,
+    prev: Option<CaptureBuf>,
 }
 
 impl std::fmt::Debug for TraceCapture {
@@ -142,21 +97,11 @@ impl std::fmt::Debug for TraceCapture {
 }
 
 impl TraceCapture {
-    /// A cloneable handle for worker threads.
-    pub fn handle(&self) -> CaptureHandle {
-        CaptureHandle(Arc::clone(&self.inner))
-    }
-
     /// Snapshot of the spans buffered so far, sorted by `(start_ns,
     /// id)`. Used to derive per-phase breakdowns for flight records
     /// without committing the trace.
     pub fn records(&self) -> Vec<SpanRecord> {
-        let mut out = self
-            .inner
-            .spans
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
+        let mut out = self.inner.borrow().clone();
         out.sort_by_key(|r| (r.start_ns, r.id));
         out
     }
@@ -164,8 +109,7 @@ impl TraceCapture {
     /// Publishes the buffered spans to `tracer`'s rings and ends the
     /// capture. Returns how many spans were committed.
     pub fn commit(self, tracer: &Tracer) -> usize {
-        let spans =
-            std::mem::take(&mut *self.inner.spans.lock().unwrap_or_else(|p| p.into_inner()));
+        let spans = std::mem::take(&mut *self.inner.borrow_mut());
         let n = spans.len();
         tracer.push_records(spans);
         n
@@ -231,31 +175,13 @@ impl Tracer {
         if !self.is_enabled() {
             return Span::inert();
         }
-        let parent = CURRENT_SPAN.with(|c| c.get());
-        self.open(name, parent)
-    }
-
-    /// Opens a span under an explicit parent id — for worker threads
-    /// that inherit a phase started on another thread. The span still
-    /// becomes the thread-local current span, so nested [`Tracer::span`]
-    /// calls on the worker chain under it.
-    #[inline]
-    pub fn span_with_parent(&self, name: &'static str, parent: u64) -> Span<'_> {
-        if !self.is_enabled() {
-            return Span::inert();
-        }
-        self.open(name, parent)
-    }
-
-    fn open(&self, name: &'static str, parent: u64) -> Span<'_> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let prev = CURRENT_SPAN.with(|c| c.replace(id));
+        let parent = CURRENT_SPAN.with(|c| c.replace(id));
         Span {
             tracer: Some(self),
             id,
             parent,
             name,
-            prev,
             start: Instant::now(),
         }
     }
@@ -267,8 +193,8 @@ impl Tracer {
         if !self.is_enabled() {
             return None;
         }
-        let inner = Arc::new(CaptureInner::default());
-        let prev = CAPTURE.with(|c| c.borrow_mut().replace(Arc::clone(&inner)));
+        let inner = CaptureBuf::default();
+        let prev = CAPTURE.with(|c| c.borrow_mut().replace(Rc::clone(&inner)));
         Some(TraceCapture { inner, prev })
     }
 
@@ -303,14 +229,8 @@ impl Tracer {
         };
         // An active capture on this thread intercepts the record; it
         // reaches the rings only if the capture is later committed.
-        let captured = CAPTURE.with(|c| match c.borrow().as_ref() {
-            Some(cap) => {
-                cap.push(rec.clone());
-                true
-            }
-            None => false,
-        });
-        if captured {
+        if let Some(cap) = CAPTURE.with(|c| c.borrow().clone()) {
+            cap.borrow_mut().push(rec);
             return;
         }
         let shard = (rec.tid as usize) % SHARDS;
@@ -360,15 +280,14 @@ impl Tracer {
     }
 }
 
-/// RAII span guard: records itself (and restores the thread's previous
-/// current span) on drop. An inert guard does neither.
+/// RAII span guard: records itself (and restores its parent as the
+/// thread's current span) on drop. An inert guard does neither.
 #[must_use = "a span measures the scope it lives in; dropping it immediately records nothing useful"]
 pub struct Span<'a> {
     tracer: Option<&'a Tracer>,
     id: u64,
     parent: u64,
     name: &'static str,
-    prev: u64,
     start: Instant,
 }
 
@@ -379,13 +298,12 @@ impl Span<'_> {
             id: 0,
             parent: 0,
             name: "",
-            prev: 0,
             start: Instant::now(),
         }
     }
 
-    /// This span's id (0 for an inert guard) — pass to
-    /// [`Tracer::span_with_parent`] on worker threads.
+    /// This span's id (0 for an inert guard) — the `parent` of the spans
+    /// opened inside it.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -394,7 +312,7 @@ impl Span<'_> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(tracer) = self.tracer {
-            CURRENT_SPAN.with(|c| c.set(self.prev));
+            CURRENT_SPAN.with(|c| c.set(self.parent));
             tracer.record(self);
         }
     }
@@ -533,26 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_parent_crosses_threads() {
-        let t = Tracer::new(true, 64);
-        let q = t.span("query");
-        let qid = q.id();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let v = t.span_with_parent("verify_center", qid);
-                assert_ne!(v.id(), 0);
-                let _b = t.span("ball"); // nests under verify_center
-            });
-        });
-        drop(q);
-        let recs = t.records();
-        let v = recs.iter().find(|r| r.name == "verify_center").unwrap();
-        let b = recs.iter().find(|r| r.name == "ball").unwrap();
-        assert_eq!(v.parent, qid);
-        assert_eq!(b.parent, v.id);
-    }
-
-    #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let t = Tracer::new(true, SHARDS); // one slot per shard
         for _ in 0..4 {
@@ -597,27 +495,6 @@ mod tests {
         assert_eq!(recs.len(), 2);
         let refine = recs.iter().find(|r| r.name == "refine").unwrap();
         assert_eq!(refine.parent, qid);
-    }
-
-    #[test]
-    fn adopted_workers_feed_the_same_capture() {
-        let t = Tracer::new(true, 64);
-        let cap = t.begin_capture().unwrap();
-        let q = t.span("serve_request");
-        let qid = q.id();
-        let handle = cap.handle();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _adopt = adopt_capture(&handle);
-                let _v = t.span_with_parent("verify_center", qid);
-            });
-        });
-        drop(q);
-        let recs = cap.records();
-        assert_eq!(recs.len(), 2);
-        assert!(recs.iter().any(|r| r.name == "verify_center"));
-        cap.discard();
-        assert!(t.records().is_empty());
     }
 
     #[test]

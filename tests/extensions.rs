@@ -147,54 +147,6 @@ fn top_k_is_sorted_valid_and_starts_at_the_optimum() {
 }
 
 #[test]
-fn exact_social_distance_mode_is_equivalent_and_prunes_no_less() {
-    use gpssn::core::algorithm::QueryOptions;
-    for seed in 50..54u64 {
-        let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), seed);
-        let pivot_engine = engine(&ssn);
-        let exact_engine = GpSsnEngine::build(
-            &ssn,
-            EngineConfig {
-                num_road_pivots: 3,
-                num_social_pivots: 3,
-                social_index: SocialIndexConfig {
-                    leaf_size: 16,
-                    fanout: 4,
-                    ..Default::default()
-                },
-                exact_social_distance: true,
-                ..Default::default()
-            },
-        );
-        let q = GpSsnQuery {
-            user: 1,
-            tau: 3,
-            gamma: 0.3,
-            theta: 0.3,
-            radius: 2.5,
-        };
-        let opts = QueryOptions {
-            collect_stats: true,
-            ..Default::default()
-        };
-        let a = pivot_engine.query_with_options(&q, &opts);
-        let b = exact_engine.query_with_options(&q, &opts);
-        assert_eq!(
-            a.answer.as_ref().map(|x| x.maxdist),
-            b.answer.as_ref().map(|x| x.maxdist),
-            "exact social distances changed the answer (seed {seed})"
-        );
-        // Exact distances can only prune at least as many users at the
-        // object level (the pivot rule is a lower bound of the truth).
-        assert!(
-            b.metrics.stats.users_pruned_object + b.metrics.stats.users_pruned_index
-                >= a.metrics.stats.users_pruned_object,
-            "exact mode pruned fewer users (seed {seed})"
-        );
-    }
-}
-
-#[test]
 fn top_k_matches_exhaustive_oracle() {
     use gpssn::core::exact_baseline_top_k;
     for seed in 60..64u64 {

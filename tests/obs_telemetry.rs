@@ -13,9 +13,14 @@
 //!    engines produce identical counter maps, regardless of how the OS
 //!    interleaves the worker threads (per-thread registries merged in
 //!    chunk order).
+//! 4. **Cache counter agreement** — the distance cache's lifetime
+//!    counters equal the summed per-query cache lookups, and the
+//!    published hit-rate gauge is the hit share of those lookups.
 
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
-use gpssn::core::{GpSsnEngine, GpSsnQuery, PruningStats, QueryBudget};
+use gpssn::core::{
+    CacheStats, DistanceCacheConfig, GpSsnEngine, GpSsnQuery, PruningStats, QueryBudget,
+};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::obs::{chrome_trace_json, json, Obs};
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
@@ -337,6 +342,63 @@ fn top_k_queries_record_per_query_metrics() {
     assert_eq!(cpu.count, n);
     assert!(pairs > 0, "the fixture refined nothing");
     assert_eq!(snap.counter("gpssn_pairs_refined_total", &[]), pairs);
+}
+
+#[test]
+fn cache_lifetime_counters_match_the_per_query_lookups() {
+    // One definition of a dist-cache hit: a row or column counts all of
+    // its values as hits when fully resident and all as misses when it
+    // falls back to a batch — per query and over the cache's lifetime.
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), 3);
+    let obs = Arc::new(Obs::with_metrics());
+    let engine = GpSsnEngine::build(
+        &ssn,
+        EngineConfig {
+            distance_cache: Some(DistanceCacheConfig::default()),
+            ..small_cfg(3, Some(obs.clone()))
+        },
+    );
+    let mut sum = CacheStats::default();
+    for _pass in 0..2 {
+        for q in corpus(&ssn, 3) {
+            let c = engine.query(&q).metrics.cache;
+            sum.ball_hits += c.ball_hits;
+            sum.ball_misses += c.ball_misses;
+            sum.dist_hits += c.dist_hits;
+            sum.dist_misses += c.dist_misses;
+        }
+    }
+    assert!(
+        sum.dist_hits > 0 && sum.dist_misses > 0,
+        "the corpus must both hit and miss the dist cache: {sum:?}"
+    );
+    let life = engine.distance_cache().unwrap().lifetime_stats();
+    assert_eq!(
+        (life.ball_hits, life.ball_misses),
+        (sum.ball_hits, sum.ball_misses),
+        "ball lifetime counters vs per-query sums"
+    );
+    assert_eq!(
+        (life.dist_hits, life.dist_misses),
+        (sum.dist_hits, sum.dist_misses),
+        "dist lifetime counters vs per-query sums"
+    );
+
+    engine.publish_cache_metrics();
+    let snap = obs.base_registry().snapshot();
+    let lookups = |kind: &str, result: &str| {
+        snap.counter(
+            "gpssn_cache_lookups_total",
+            &[("kind", kind), ("result", result)],
+        )
+    };
+    let hits = lookups("ball", "hit") + lookups("dist", "hit");
+    let total = hits + lookups("ball", "miss") + lookups("dist", "miss");
+    assert_eq!(
+        snap.gauge("gpssn_cache_hit_rate", &[]),
+        Some(hits as f64 / total as f64),
+        "the published hit rate must be the hit share of the lookups"
+    );
 }
 
 #[test]
