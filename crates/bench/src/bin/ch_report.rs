@@ -128,6 +128,17 @@ fn main() {
         .collect();
     let source_refs: Vec<&[(NodeId, f64)]> = sources.iter().map(|s| &s[..]).collect();
     let targets: Vec<NodeId> = (0..16).map(|_| rng.gen_range(0..n as NodeId)).collect();
+    let (matrix, _) = ch.batch_dists(&mut cs, &source_refs, &targets);
+    for (i, s) in source_refs.iter().enumerate() {
+        let d = dijkstra_targets(g, s, &targets);
+        for (j, &t) in targets.iter().enumerate() {
+            assert_eq!(
+                d[t as usize].to_bits(),
+                matrix[i * targets.len() + j].to_bits(),
+                "CH matrix diverged at source {i} -> {t}"
+            );
+        }
+    }
     let m2m_dijkstra = median_secs(5, || {
         for s in &source_refs {
             std::hint::black_box(dijkstra_targets(g, s, &targets));

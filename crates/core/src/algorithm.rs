@@ -120,10 +120,9 @@ impl EngineConfig {
 
 /// Which oracle serves refinement-time `dist_RN` computations.
 ///
-/// Both backends return bit-identical distances (the CH oracle unpacks
-/// every winning up–down path and refolds original edge weights in
-/// Dijkstra's exact operation order — see `gpssn_graph::ch`), so the
-/// choice affects speed and metering only, never answers.
+/// Both backends return bit-identical distances (road lengths are
+/// grid values, so every path sum is exact — see `gpssn_graph::ch`), so
+/// the choice affects speed and metering only, never answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistanceBackend {
     /// Multi-target Dijkstra sweeps over the road graph.
@@ -1328,11 +1327,10 @@ fn finish_metrics(
     stats: PruningStats,
 ) -> QueryMetrics {
     let (ch_batches, ch_settles) = meter.ch_tallies();
-    let dijkstra_settles = meter.settles().saturating_sub(ch_settles);
-    let (ws_resets, heap_recycles, ch_unpacks) = meter.workspace_tallies();
+    let (ws_resets, heap_recycles) = meter.workspace_tallies();
     let backend_served = BackendServed {
         dijkstra_batches: meter.dijkstra_batches(),
-        dijkstra_settles,
+        dijkstra_settles: meter.settles().saturating_sub(ch_settles),
         ch_batches,
         ch_settles,
     };
@@ -1341,13 +1339,9 @@ fn finish_metrics(
         io_pages: io.count(),
         heap_pops: meter.pops(),
         groups_enumerated: meter.groups(),
-        dijkstra_settles,
-        ch_batches,
-        ch_settles,
         backend_served,
         ws_resets,
         heap_recycles,
-        ch_unpacks,
         cache: cache_stats(meter),
         stats,
     }
@@ -1493,7 +1487,6 @@ fn record_query(
     );
     o.inc("gpssn_workspace_resets_total", &[], m.ws_resets);
     o.inc("gpssn_heap_recycles_total", &[], m.heap_recycles);
-    o.inc("gpssn_ch_unpacks_total", &[], m.ch_unpacks);
     let s = &m.stats;
     // Fig. 7 pruning powers are ratios of the counters below over these
     // denominators; `tests/obs_telemetry.rs` checks the exposition path
@@ -1696,7 +1689,6 @@ impl<'s> CenterLoop<'s> {
         self.meter.note_workspace(
             self.ws.resets() + self.chws.resets(),
             self.ws.recycles() + self.chws.recycles(),
-            self.chws.unpacks(),
         );
     }
 
@@ -1716,15 +1708,7 @@ impl<'s> CenterLoop<'s> {
             return false;
         }
         let engine = self.engine;
-        // Top-k verifies against every candidate: a smaller eligible set
-        // can switch `verify_center` between row and column distance
-        // sweeps, which sum edges in opposite orders and may move a
-        // `maxdist` by an ulp.
-        let filter_bound = match self.mode {
-            Mode::TopK(_) => f64::INFINITY,
-            Mode::Exact | Mode::Sampled { .. } => bound,
-        };
-        let filtered = engine.filter_candidates_for_center(self.candidates, center, filter_bound);
+        let filtered = engine.filter_candidates_for_center(self.candidates, center, bound);
         let found = match (self.mode, self.rng.as_mut()) {
             (Mode::Sampled { samples, .. }, Some(rng)) => crate::sampling::verify_center_sampled(
                 engine.ssn, self.q, &filtered, center, bound, samples, rng, self.meter,
@@ -1773,23 +1757,20 @@ impl<'s> CenterLoop<'s> {
 
     /// The collector: inserts `ans` into the kept list behind every
     /// kept answer of equal or smaller `maxdist`, keeping at most
-    /// [`Mode::keep`]. An answer repeating a kept `(users, pois)` pair
-    /// replaces it only if strictly smaller — two centers with the same
-    /// ball can price the same group an ulp apart (see
-    /// [`CenterLoop::step`]).
+    /// [`Mode::keep`]. An answer repeating a kept `(users, pois)` pair is
+    /// skipped: two centers with the same ball price the same group to
+    /// the same bits.
     fn keep(&mut self, ans: GpSsnAnswer) {
-        let before = |b: &GpSsnAnswer| b.maxdist.total_cmp(&ans.maxdist).is_le();
-        if let Some(dup) = self
+        if self
             .kept
             .iter()
-            .position(|b| b.users == ans.users && b.pois == ans.pois)
+            .any(|b| b.users == ans.users && b.pois == ans.pois)
         {
-            if before(&self.kept[dup]) {
-                return;
-            }
-            self.kept.remove(dup);
+            return;
         }
-        let at = self.kept.partition_point(before);
+        let at = self
+            .kept
+            .partition_point(|b| b.maxdist.total_cmp(&ans.maxdist).is_le());
         self.kept.insert(at, ans);
         self.kept.truncate(self.mode.keep());
     }
@@ -2034,7 +2015,7 @@ mod tests {
         match (&full.answer, &no_prune.answer) {
             (Some(a), Some(b)) => {
                 assert!(
-                    (a.maxdist - b.maxdist).abs() < 1e-6,
+                    a.maxdist.to_bits() == b.maxdist.to_bits(),
                     "{} vs {}",
                     a.maxdist,
                     b.maxdist

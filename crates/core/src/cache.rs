@@ -13,12 +13,10 @@
 //! * balls are keyed by `(center, radius.to_bits())` — exact radius,
 //!   no bucketing slack, so the cached member list is exactly what
 //!   [`gpssn_road::PoiSet::network_ball`] returns;
-//! * distances are keyed by `(user, poi, direction)`. Direction matters
-//!   for bit-identity: Dijkstra from the user's home and Dijkstra from
-//!   the POI traverse the same shortest path but sum its edge weights
-//!   in opposite orders, which floating-point addition does not promise
-//!   to reconcile. Keying the direction means a hit only ever replaces
-//!   a run that would have produced the very same bits.
+//! * distances are keyed by `(user, poi)`. Road lengths are grid values
+//!   (`gpssn_graph::GRID_BITS`), so a shortest path sums to the same
+//!   bits whether the search starts at the user's home or at the POI: a
+//!   value a row stored serves a column, and the other way round.
 //!
 //! The cache is sharded (one mutex per shard) so batch and serve
 //! workers answering queries on one engine do not serialize on a single
@@ -36,16 +34,6 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Which endpoint seeded the Dijkstra that produced a cached distance.
-/// See the module docs for why this is part of the key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DistDir {
-    /// Seeded at the user's home, targeting POI positions.
-    FromUser,
-    /// Seeded at the POI position, targeting user homes.
-    FromPoi,
-}
 
 /// Capacity configuration for [`DistanceCache`].
 #[derive(Debug, Clone)]
@@ -74,7 +62,7 @@ type BallKey = (PoiId, u64);
 /// A cached ball row: the `(poi, dist_RN)` pairs inside `⊙(center, r)`,
 /// shared by `Arc` so hits never copy.
 type BallRow = Arc<Vec<(PoiId, f64)>>;
-type DistKey = (UserId, PoiId, DistDir);
+type DistKey = (UserId, PoiId);
 
 /// One FIFO-bounded map. Insertion order is the eviction order;
 /// re-inserting an existing key refreshes the value without re-queueing.
@@ -248,15 +236,14 @@ impl DistanceCache {
         lock_shard(shard).insert(key, ball);
     }
 
-    /// The cached `dist_RN(user, poi)` computed in direction `dir`, if
-    /// present. Not counted: a probe is one value of a row or column,
+    /// The cached `dist_RN(user, poi)`, if present. Not counted: a probe is one value of a row or column,
     /// which the caller records as a whole with
     /// [`DistanceCache::note_dist`].
-    pub fn get_dist(&self, user: UserId, poi: PoiId, dir: DistDir) -> Option<f64> {
+    pub fn get_dist(&self, user: UserId, poi: PoiId) -> Option<f64> {
         if gpssn_failpoint::failpoint!("cache::spurious_miss") {
             return None;
         }
-        let key = (user, poi, dir);
+        let key = (user, poi);
         lock_shard(&self.dists[shard_of(&key, self.dists.len())]).get(&key)
     }
 
@@ -272,9 +259,9 @@ impl DistanceCache {
         tally.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Stores `dist_RN(user, poi)` computed in direction `dir`.
-    pub fn put_dist(&self, user: UserId, poi: PoiId, dir: DistDir, d: f64) {
-        let key = (user, poi, dir);
+    /// Stores `dist_RN(user, poi)`.
+    pub fn put_dist(&self, user: UserId, poi: PoiId, d: f64) {
+        let key = (user, poi);
         let shard = &self.dists[shard_of(&key, self.dists.len())];
         if gpssn_failpoint::failpoint!("cache::poison") {
             poison_shard(shard);
@@ -348,11 +335,10 @@ mod tests {
     #[test]
     fn round_trips_values() {
         let c = DistanceCache::new(&tiny());
-        assert!(c.get_dist(1, 2, DistDir::FromUser).is_none());
-        c.put_dist(1, 2, DistDir::FromUser, 3.25);
-        assert_eq!(c.get_dist(1, 2, DistDir::FromUser), Some(3.25));
-        // Direction is part of the key.
-        assert!(c.get_dist(1, 2, DistDir::FromPoi).is_none());
+        assert!(c.get_dist(1, 2).is_none());
+        c.put_dist(1, 2, 3.25);
+        assert_eq!(c.get_dist(1, 2), Some(3.25));
+        assert!(c.get_dist(2, 1).is_none()); // (user, poi), not symmetric
 
         let ball = Arc::new(vec![(7u32, 1.5f64), (9, 2.0)]);
         c.put_ball(3, 2.5, Arc::clone(&ball));
@@ -364,12 +350,12 @@ mod tests {
     fn fifo_eviction_bounds_residency() {
         let c = DistanceCache::new(&tiny());
         for i in 0..10u32 {
-            c.put_dist(i, 0, DistDir::FromUser, i as f64);
+            c.put_dist(i, 0, i as f64);
         }
         assert_eq!(c.dist_entries(), 4);
         // Oldest entries left; newest retained.
-        assert!(c.get_dist(0, 0, DistDir::FromUser).is_none());
-        assert_eq!(c.get_dist(9, 0, DistDir::FromUser), Some(9.0));
+        assert!(c.get_dist(0, 0).is_none());
+        assert_eq!(c.get_dist(9, 0), Some(9.0));
     }
 
     #[test]
@@ -386,15 +372,15 @@ mod tests {
         // `dist_RN` probes count nothing; the caller records each row or
         // column as a whole: a resident 3-value run, then a recomputed
         // 2-value run.
-        c.put_dist(1, 1, DistDir::FromUser, 1.0);
-        assert!(c.get_dist(1, 1, DistDir::FromUser).is_some());
-        assert!(c.get_dist(2, 2, DistDir::FromUser).is_none());
+        c.put_dist(1, 1, 1.0);
+        assert!(c.get_dist(1, 1).is_some());
+        assert!(c.get_dist(2, 2).is_none());
         assert_eq!(c.lifetime_stats().dist_hits, 0);
         assert_eq!(c.lifetime_stats().dist_misses, 0);
         c.note_dist(true, 3);
         c.note_dist(false, 2);
         for i in 0..10u32 {
-            c.put_dist(i, 0, DistDir::FromPoi, i as f64); // overflows cap 4
+            c.put_dist(i, 0, i as f64); // overflows cap 4
         }
         let s = c.lifetime_stats();
         assert_eq!((s.ball_hits, s.ball_misses), (1, 1));
@@ -410,7 +396,7 @@ mod tests {
             dist_capacity: 8,
             shards: 2,
         });
-        c.put_dist(1, 1, DistDir::FromUser, 1.0);
+        c.put_dist(1, 1, 1.0);
         let occ = c.dist_shard_occupancy();
         assert_eq!(occ.len(), 2);
         assert_eq!(occ.iter().map(|o| o.entries).sum::<usize>(), 1);
@@ -425,7 +411,7 @@ mod tests {
             dist_capacity: 0,
             shards: 4,
         });
-        c.put_dist(1, 1, DistDir::FromPoi, 1.0);
+        c.put_dist(1, 1, 1.0);
         c.put_ball(1, 1.0, Arc::new(vec![]));
         assert_eq!(c.dist_entries(), 0);
         assert_eq!(c.ball_entries(), 0);
@@ -435,7 +421,7 @@ mod tests {
     fn reinsert_refreshes_without_duplicating() {
         let c = DistanceCache::new(&tiny());
         for _ in 0..10 {
-            c.put_dist(1, 1, DistDir::FromUser, 2.0);
+            c.put_dist(1, 1, 2.0);
         }
         assert_eq!(c.dist_entries(), 1);
     }
@@ -443,7 +429,7 @@ mod tests {
     #[test]
     fn poisoned_shard_recovers_with_data_intact() {
         let c = Arc::new(DistanceCache::new(&tiny()));
-        c.put_dist(5, 5, DistDir::FromUser, 7.5);
+        c.put_dist(5, 5, 7.5);
         // Poison the (single) dist shard by panicking while holding it.
         let c2 = Arc::clone(&c);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -452,8 +438,8 @@ mod tests {
         }));
         assert!(c.dists[0].is_poisoned());
         // Reads and writes keep working; prior entries survive.
-        assert_eq!(c.get_dist(5, 5, DistDir::FromUser), Some(7.5));
-        c.put_dist(6, 6, DistDir::FromPoi, 1.25);
-        assert_eq!(c.get_dist(6, 6, DistDir::FromPoi), Some(1.25));
+        assert_eq!(c.get_dist(5, 5), Some(7.5));
+        c.put_dist(6, 6, 1.25);
+        assert_eq!(c.get_dist(6, 6), Some(1.25));
     }
 }

@@ -283,11 +283,9 @@ pub struct BudgetState {
     /// Plain-Dijkstra batches (the non-CH complement of `ch_batches`).
     dijkstra_batches: AtomicU64,
     /// Workspace telemetry folded in by the center loop: runs
-    /// prepared, runs that reused already-sized storage, and CH near-tie
-    /// path unpacks.
+    /// prepared, and runs that reused already-sized storage.
     ws_resets: AtomicU64,
     heap_recycles: AtomicU64,
-    ch_unpacks: AtomicU64,
     /// Faults that cost the query verified work (a refinement panic
     /// caught and absorbed): the center involved is unresolved,
     /// so a nonzero count disqualifies the `Exact` completion even if
@@ -341,7 +339,6 @@ impl BudgetState {
             dijkstra_batches: AtomicU64::new(0),
             ws_resets: AtomicU64::new(0),
             heap_recycles: AtomicU64::new(0),
-            ch_unpacks: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             ch_faults: AtomicU64::new(0),
         }
@@ -462,21 +459,19 @@ impl BudgetState {
     }
 
     /// Folds workspace lifetime telemetry into the meter: `resets` runs
-    /// prepared, `recycles` runs that reused already-sized storage, and
-    /// `unpacks` CH near-tie path unpacks. Called once per workspace at
-    /// the end of each refinement scope, not per run.
-    pub fn note_workspace(&self, resets: u64, recycles: u64, unpacks: u64) {
+    /// prepared and `recycles` runs that reused already-sized storage.
+    /// Called once per workspace at the end of each refinement scope,
+    /// not per run.
+    pub fn note_workspace(&self, resets: u64, recycles: u64) {
         self.ws_resets.fetch_add(resets, Ordering::Relaxed);
         self.heap_recycles.fetch_add(recycles, Ordering::Relaxed);
-        self.ch_unpacks.fetch_add(unpacks, Ordering::Relaxed);
     }
 
-    /// `(ws_resets, heap_recycles, ch_unpacks)` folded in so far.
-    pub fn workspace_tallies(&self) -> (u64, u64, u64) {
+    /// `(ws_resets, heap_recycles)` folded in so far.
+    pub fn workspace_tallies(&self) -> (u64, u64) {
         (
             self.ws_resets.load(Ordering::Relaxed),
             self.heap_recycles.load(Ordering::Relaxed),
-            self.ch_unpacks.load(Ordering::Relaxed),
         )
     }
 

@@ -18,7 +18,7 @@
 //!    cost would fit inside a shorter, infeasible prefix).
 
 use crate::breaker::CircuitBreaker;
-use crate::cache::{DistDir, DistanceCache};
+use crate::cache::DistanceCache;
 use crate::error::{BudgetState, GpSsnError};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorkspace};
@@ -92,10 +92,9 @@ pub struct ChBackend<'a> {
 
 /// One multi-target `dist_RN` batch from `source` to every `target`,
 /// dispatched on the context's backend. Both paths produce bit-identical
-/// rows (the CH oracle unpacks shortcuts and refolds original edge
-/// weights in Dijkstra's exact operation order); settles are charged to
-/// the same budget either way, with CH batches additionally tallied for
-/// [`crate::QueryMetrics::ch_batches`].
+/// rows (path sums are grid-exact, see `gpssn_graph::ch`); settles are
+/// charged to the same budget either way, and each batch is tallied
+/// per backend for [`crate::BackendServed`].
 fn dist_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
@@ -147,92 +146,53 @@ fn dist_batch(
     row
 }
 
-/// `dist_RN(user, o)` for every ball member `o`, via one multi-target
-/// batch seeded at the user's home — served from the cache when every
-/// pair is resident (all-or-nothing: a partial hit recomputes the whole
-/// run, since one Dijkstra covers all targets anyway). Freshly computed
-/// values are inserted even when the budget trips mid-run (they are
-/// exact). `None` means the budget tripped.
-fn row_from_user(
+/// `dist_RN` from `source` to every target in one multi-target batch,
+/// where `key(j)` names target `j`'s `(user, poi)` pair. Served from the
+/// cache when every pair is resident (all-or-nothing: a partial hit
+/// recomputes the whole run, since one batch covers all targets anyway).
+/// Distances are grid-exact, so a pair has one value whichever end the
+/// batch starts from, and rows and columns share cache entries. Freshly
+/// computed values are inserted even when the budget trips mid-run
+/// (they are exact). `None` means the budget tripped.
+fn cached_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
-    user: UserId,
-    r_ids: &[PoiId],
-    positions: &[NetworkPoint],
+    source: &NetworkPoint,
+    targets: &[NetworkPoint],
+    key: impl Fn(usize) -> (UserId, PoiId),
 ) -> Option<Vec<f64>> {
+    let n = targets.len() as u64;
     if let Some(cache) = ctx.cache {
-        let mut row = Vec::with_capacity(r_ids.len());
-        let all_hit = r_ids
-            .iter()
-            .all(|&o| match cache.get_dist(user, o, DistDir::FromUser) {
+        let mut hits = Vec::with_capacity(targets.len());
+        let all_hit = (0..targets.len()).all(|j| {
+            let (u, o) = key(j);
+            match cache.get_dist(u, o) {
                 Some(d) => {
-                    row.push(d);
+                    hits.push(d);
                     true
                 }
                 None => false,
-            });
+            }
+        });
         if all_hit {
-            ctx.budget.note_dist_cache(true, r_ids.len() as u64);
-            cache.note_dist(true, r_ids.len() as u64);
-            return Some(row);
+            ctx.budget.note_dist_cache(true, n);
+            cache.note_dist(true, n);
+            return Some(hits);
         }
     }
-    let row = dist_batch(ssn, ctx, &ssn.home(user), positions);
+    let dists = dist_batch(ssn, ctx, source, targets);
     if let Some(cache) = ctx.cache {
-        ctx.budget.note_dist_cache(false, r_ids.len() as u64);
-        cache.note_dist(false, r_ids.len() as u64);
-        for (&o, &d) in r_ids.iter().zip(&row) {
-            cache.put_dist(user, o, DistDir::FromUser, d);
+        ctx.budget.note_dist_cache(false, n);
+        cache.note_dist(false, n);
+        for (j, &d) in dists.iter().enumerate() {
+            let (u, o) = key(j);
+            cache.put_dist(u, o, d);
         }
     }
     if ctx.budget.is_tripped() {
         None
     } else {
-        Some(row)
-    }
-}
-
-/// `dist_RN(u, poi)` for every eligible user `u`, via one multi-target
-/// batch seeded at the POI. Same cache contract as
-/// [`row_from_user`]; the direction is part of the key (see
-/// [`crate::cache`] for why).
-fn col_from_poi(
-    ssn: &SpatialSocialNetwork,
-    ctx: &mut VerifyContext<'_>,
-    poi: PoiId,
-    pos: &NetworkPoint,
-    eligible: &[UserId],
-    homes: &[NetworkPoint],
-) -> Option<Vec<f64>> {
-    if let Some(cache) = ctx.cache {
-        let mut col = Vec::with_capacity(eligible.len());
-        let all_hit = eligible
-            .iter()
-            .all(|&u| match cache.get_dist(u, poi, DistDir::FromPoi) {
-                Some(d) => {
-                    col.push(d);
-                    true
-                }
-                None => false,
-            });
-        if all_hit {
-            ctx.budget.note_dist_cache(true, eligible.len() as u64);
-            cache.note_dist(true, eligible.len() as u64);
-            return Some(col);
-        }
-    }
-    let col = dist_batch(ssn, ctx, pos, homes);
-    if let Some(cache) = ctx.cache {
-        ctx.budget.note_dist_cache(false, eligible.len() as u64);
-        cache.note_dist(false, eligible.len() as u64);
-        for (&u, &d) in eligible.iter().zip(&col) {
-            cache.put_dist(u, poi, DistDir::FromPoi, d);
-        }
-    }
-    if ctx.budget.is_tripped() {
-        None
-    } else {
-        Some(col)
+        Some(dists)
     }
 }
 
@@ -324,7 +284,9 @@ pub fn verify_center(
 
     // Exact cost of the query user first — one Dijkstra, cheapest exit.
     let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
-    let Some(cq_dists) = row_from_user(ssn, ctx, q.user, &r_ids, &positions) else {
+    let Some(cq_dists) = cached_batch(ssn, ctx, &ssn.home(q.user), &positions, |j| {
+        (q.user, r_ids[j])
+    }) else {
         return Ok(out);
     };
     let cq = cq_dists.into_iter().fold(0.0f64, f64::max);
@@ -345,13 +307,14 @@ pub fn verify_center(
     }
 
     // Exact user costs c(u) = max_{o ∈ R} dist_RN(u, o), computed with
-    // one multi-target Dijkstra per ball POI (columns), which beats one
-    // Dijkstra per user whenever |R| < |eligible| — the common case.
+    // one multi-target batch per ball POI (columns), which beats one
+    // batch per user whenever |R| < |eligible| — the common case. Rows
+    // and columns give the same bits, so the choice only affects speed.
     let homes: Vec<NetworkPoint> = eligible.iter().map(|&u| ssn.home(u)).collect();
     let mut cost_vec = vec![0.0f64; eligible.len()];
     if positions.len() <= eligible.len() {
         for (&o, pos) in r_ids.iter().zip(&positions) {
-            let Some(col) = col_from_poi(ssn, ctx, o, pos, &eligible, &homes) else {
+            let Some(col) = cached_batch(ssn, ctx, pos, &homes, |j| (eligible[j], o)) else {
                 return Ok(out);
             };
             for (c, d) in cost_vec.iter_mut().zip(col) {
@@ -360,7 +323,8 @@ pub fn verify_center(
         }
     } else {
         for (c, &u) in cost_vec.iter_mut().zip(&eligible) {
-            let Some(row) = row_from_user(ssn, ctx, u, &r_ids, &positions) else {
+            let Some(row) = cached_batch(ssn, ctx, &ssn.home(u), &positions, |j| (u, r_ids[j]))
+            else {
                 return Ok(out);
             };
             *c = row.into_iter().fold(0.0f64, f64::max);
@@ -585,7 +549,7 @@ mod tests {
         let ans = v.answer.expect("feasible");
         assert_eq!(ans.users, vec![0, 1]);
         // c(0)=dist to x=3 -> 3; c(1)=max(1,1)=1 -> maxdist = 3.
-        assert!((ans.maxdist - 3.0).abs() < 1e-9);
+        assert_eq!(ans.maxdist, 3.0);
         assert!(v.subsets_examined > 0);
     }
 
@@ -651,7 +615,7 @@ mod tests {
         let v = verify(&ssn, &q, &[0, 1, 2, 3], 0, f64::INFINITY);
         let ans = v.answer.expect("singleton group");
         assert_eq!(ans.users, vec![1]);
-        assert!((ans.maxdist - 1.0).abs() < 1e-9); // max(dist to x=1, x=3) = 1
+        assert_eq!(ans.maxdist, 1.0); // max(dist to x=1, x=3) = 1
     }
 
     #[test]

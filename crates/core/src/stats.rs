@@ -190,29 +190,16 @@ pub struct QueryMetrics {
     /// Connected user subsets enumerated (the unit of
     /// [`crate::QueryBudget::max_groups_enumerated`]).
     pub groups_enumerated: u64,
-    /// Vertices settled by *plain Dijkstra* refinement-time runs —
-    /// disjoint from [`QueryMetrics::ch_settles`]; the budget unit
-    /// [`crate::QueryBudget::max_dijkstra_settles`] charges their sum
-    /// ([`QueryMetrics::total_settles`]).
-    pub dijkstra_settles: u64,
-    /// Multi-target batches served by the contraction-hierarchy oracle
-    /// (zero under [`crate::DistanceBackend::Dijkstra`] or when the road
-    /// index carries no oracle).
-    pub ch_batches: u64,
-    /// Vertices settled by those CH batches — disjoint from
-    /// [`QueryMetrics::dijkstra_settles`].
-    pub ch_settles: u64,
-    /// Per-backend batch/settle breakdown (the same numbers as the four
-    /// fields above, grouped; see [`BackendServed`]).
+    /// Refinement-time distance batches and settles per backend (see
+    /// [`BackendServed`]). CH batches are zero under
+    /// [`crate::DistanceBackend::Dijkstra`] or when the road index
+    /// carries no oracle.
     pub backend_served: BackendServed,
     /// Workspace runs prepared during refinement (Dijkstra + CH).
     pub ws_resets: u64,
     /// Workspace runs that reused already-sized storage — lazy
     /// touched-list reset plus recycled heap, no allocation.
     pub heap_recycles: u64,
-    /// CH near-tie candidate paths unpacked to original edges for
-    /// bit-exactness.
-    pub ch_unpacks: u64,
     /// Distance-cache tallies (see [`CacheStats`]).
     pub cache: CacheStats,
     /// Pruning counters.
@@ -223,7 +210,7 @@ impl QueryMetrics {
     /// Vertices settled across both distance backends — the value the
     /// settle budget charged.
     pub fn total_settles(&self) -> u64 {
-        self.dijkstra_settles.saturating_add(self.ch_settles)
+        self.backend_served.total_settles()
     }
 }
 
@@ -350,8 +337,7 @@ mod tests {
         assert_eq!(b.total_settles(), 140);
         assert_eq!(b.total_batches(), 5);
         let m = QueryMetrics {
-            dijkstra_settles: 100,
-            ch_settles: 40,
+            backend_served: b,
             ..Default::default()
         };
         assert_eq!(m.total_settles(), 140);

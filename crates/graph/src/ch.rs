@@ -1,4 +1,4 @@
-//! Contraction-hierarchy distance oracle with bit-identical answers.
+//! Contraction-hierarchy distance oracle.
 //!
 //! Repeated point-to-point and many-to-many `dist_RN` probes are the hot
 //! path of GP-SSN refinement (Algorithm 2): every `verify_center` call
@@ -10,61 +10,30 @@
 //! which a point-to-point query is a pair of tiny Dijkstra runs that only
 //! ever relax arcs towards *higher-ranked* vertices.
 //!
-//! ## Bit-identical answers
+//! ## Exact answers
 //!
 //! The rest of the engine treats distances as exact tokens: caches key on
 //! them, refinement compares them with `total_cmp`, and the equivalence
-//! suite asserts engines agree bitwise. A naive CH returns the *sum of
-//! shortcut weights* along the best up-down path, whose floating-point
-//! rounding differs from Dijkstra's left-to-right `dist[v] = dist[u] + w`
-//! accumulation. This implementation therefore never reports search keys:
-//!
-//! 1. Dijkstra over non-negative weights returns, for every vertex, the
-//!    minimum over all paths of the *left-associated floating-point fold*
-//!    of the original edge weights (f64 addition of non-negative values is
-//!    monotone, so the greedy argument survives rounding).
-//! 2. Shortcut weights (`w₁ + w₂`, commutative, so orientation-free) are
-//!    used only to *steer* the bidirectional upward search.
-//! 3. The reported distance is obtained by unpacking the winning up-down
-//!    path to its original edge sequence and folding weights
-//!    source-to-target starting from the seed's initial distance —
-//!    reproducing Dijkstra's exact accumulation order.
-//! 4. Search keys are rounded differently from folds by at most a few
-//!    ULPs, so *every* meeting vertex whose key is within a small relative
-//!    tolerance of the best key is unpacked, and the minimum fold wins.
-//!    Symmetrically, a witness search during contraction suppresses a
-//!    shortcut only when the witness is shorter *by more than the same
-//!    tolerance*, so near-tied shortest paths always stay representable
-//!    as up-down paths.
-//!
-//! Exact ties fold to bitwise-equal values (weights are non-negative, so
-//! there is no `-0.0`, and `x + 0.0 == x` exactly — zero-weight edges are
-//! harmless). The residual gap — two distinct paths whose *search keys*
-//! round to within an ULP of each other while their folds differ — would
-//! require engineered weights and is property-tested against in practice;
-//! see DESIGN.md §9 for the full argument.
+//! suite asserts engines agree bitwise. [`CsrGraph`] rounds every weight
+//! onto a power-of-two grid ([`crate::csr::GRID_BITS`]), so every path
+//! sum below [`crate::csr::GRID_EXACT_LIMIT`] is computed exactly, in
+//! any association order. A shortcut weight `w₁ + w₂` is then the exact
+//! length of the path it stands for, and the best up-down meeting key is
+//! the exact shortest distance — the same bits Dijkstra's left-to-right
+//! `dist[v] = dist[u] + w` accumulation produces. The oracle reports that
+//! key directly. Sums that exceed the limit round, but monotonically, so
+//! they stay at or above it and never undercut a true distance below it.
+//! Seed distances must be grid values too (`NetworkPoint` offsets are).
 //!
 //! [Geisberger et al. 2008]: https://doi.org/10.1007/978-3-540-68552-4_24
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{snap, CsrGraph, NodeId};
 use crate::dijkstra::INFINITY;
 use crate::heap::IndexedMinHeap;
 use std::io::{self, BufRead, Write};
 
-/// Reversal flag on a packed arc reference (high bit of the arena index).
-const REV: u32 = 1 << 31;
-
-/// `mid` sentinel marking an arena arc as an original edge.
-const ORIGINAL: NodeId = NodeId::MAX;
-
 /// Rank sentinel for not-yet-contracted vertices during construction.
 const UNRANKED: u32 = u32::MAX;
-
-/// Relative tolerance separating "genuinely shorter" from "equal modulo
-/// floating-point rounding of search keys". Path folds and search keys
-/// agree to ~`path_len · ε ≈ 1e-13` relative; `1e-10` dominates that with
-/// headroom while still only ever capturing genuine near-ties.
-const KEY_TOL: f64 = 1e-10;
 
 /// Settle cap for witness searches during contraction. Witness searches
 /// are *sound under truncation*: giving up early only fails to find a
@@ -78,22 +47,14 @@ const WITNESS_SETTLE_CAP: usize = 64;
 const PAR_BUILD_FLOOR: usize = 256;
 
 /// One arc of the contraction arena: every original edge and every
-/// shortcut, in creation order. Stored in a canonical `tail -> head`
-/// orientation; packed references flip the [`REV`] bit to traverse it
-/// `head -> tail`.
+/// shortcut, in creation order.
 #[derive(Debug, Clone, Copy)]
 struct ArenaArc {
     tail: NodeId,
     head: NodeId,
-    /// Search-key weight: the original edge weight, or `w₁ + w₂` of the
-    /// two constituent arcs (commutative, hence orientation-free).
+    /// The original edge weight, or `w₁ + w₂` of the two arcs a shortcut
+    /// bridges (the exact length of the path it stands for).
     weight: f64,
-    /// Contracted middle vertex, or [`ORIGINAL`] for original edges.
-    mid: NodeId,
-    /// Packed ref of the `tail -> mid` constituent (shortcuts only).
-    a: u32,
-    /// Packed ref of the `mid -> head` constituent (shortcuts only).
-    b: u32,
 }
 
 /// An upward-graph arc (towards a higher-ranked vertex).
@@ -101,8 +62,6 @@ struct ArenaArc {
 struct UpArc {
     head: NodeId,
     weight: f64,
-    /// Packed arena ref, oriented in the arc's travel direction.
-    packed: u32,
 }
 
 /// A contraction-hierarchy distance oracle over a [`CsrGraph`].
@@ -110,7 +69,7 @@ struct UpArc {
 /// Build once with [`ChOracle::build`]; answer point-to-point and
 /// many-to-many queries through a reusable [`ChSearch`] workspace.
 /// Answers are bit-identical to [`crate::dijkstra::dijkstra_targets`]
-/// over the same graph (see the module docs for why).
+/// over the same graph for grid-valued seeds (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ChOracle {
     n: usize,
@@ -180,26 +139,14 @@ impl ChOracle {
         // Entries are oriented self -> neighbour.
         let mut adj: Vec<Vec<AdjArc>> = vec![Vec::new(); n];
         let mut arena: Vec<ArenaArc> = Vec::with_capacity(graph.num_edges() * 2);
-        for (e, (u, v, w)) in graph.edges().enumerate() {
-            let idx = arena.len() as u32;
+        for (u, v, w) in graph.edges() {
             arena.push(ArenaArc {
                 tail: u,
                 head: v,
                 weight: w,
-                mid: ORIGINAL,
-                a: e as u32,
-                b: 0,
             });
-            adj[u as usize].push(AdjArc {
-                to: v,
-                weight: w,
-                packed: idx,
-            });
-            adj[v as usize].push(AdjArc {
-                to: u,
-                weight: w,
-                packed: idx | REV,
-            });
+            adj[u as usize].push(AdjArc { to: v, weight: w });
+            adj[v as usize].push(AdjArc { to: u, weight: w });
         }
         let num_original = arena.len();
 
@@ -288,25 +235,18 @@ impl ChOracle {
                 }
                 for &(ui, uj) in &out.shortcuts {
                     let sum = ui.weight + uj.weight;
-                    let idx = arena.len() as u32;
-                    assert!(idx < REV, "contraction arena overflow");
                     arena.push(ArenaArc {
                         tail: ui.to,
                         head: uj.to,
                         weight: sum,
-                        mid: out.v,
-                        a: ui.packed ^ REV, // u_i -> v
-                        b: uj.packed,       // v -> u_j
                     });
                     adj[ui.to as usize].push(AdjArc {
                         to: uj.to,
                         weight: sum,
-                        packed: idx,
                     });
                     adj[uj.to as usize].push(AdjArc {
                         to: ui.to,
                         weight: sum,
-                        packed: idx | REV,
                     });
                 }
             }
@@ -402,85 +342,40 @@ impl ChOracle {
             }
         }
 
-        // Backward phase: one upward sweep per distinct target, its full
-        // search space persisted for bucket probing and path unpacking.
-        search.bspace.clear();
-        search.branges.clear();
+        // Backward phase: one upward sweep per distinct target, its
+        // search space persisted as `(vertex, target, dist)` buckets.
         search.bucket.clear();
         for e in 0..search.distinct.len() {
             let t = search.distinct[e];
-            let lo = search.bspace.len() as u32;
             settles += self.upward_sweep(search, &[(t, 0.0)]);
-            // Persist the sweep (settled order == slot order) and reset
-            // its per-node state so the next sweep starts clean. A
-            // settled vertex's parent settled earlier in the *same*
-            // sweep, so `slot_hint` entries are always fresh when read.
-            for k in 0..search.settled.len() {
-                let m = search.settled[k];
-                let slot = lo + k as u32;
-                search.slot_hint[m as usize] = slot;
-                let p = search.parent[m as usize];
-                let parent_slot = if p == NodeId::MAX {
-                    u32::MAX
-                } else {
-                    search.slot_hint[p as usize]
-                };
-                search.bucket.push((m, e as u32, slot));
-                search.bspace.push(BNode {
-                    dist: search.dist[m as usize],
-                    parent_slot,
-                    packed: search.parent_arc[m as usize],
-                });
+            for &m in &search.settled {
+                search.bucket.push((m, e as u32, search.dist[m as usize]));
             }
-            search.branges.push((lo, search.bspace.len() as u32));
             search.reset_sweep();
         }
-        search.bucket.sort_unstable();
+        // Sorted by vertex for probing; the order within a vertex does
+        // not matter, since the probe takes a minimum.
+        search.bucket.sort_unstable_by_key(|&(m, _, _)| m);
 
         // Forward phase: one upward sweep per source, probing buckets at
-        // every settled vertex. Two bucket passes per source: the first
-        // finds each distinct target's best meeting key, the second
-        // unpacks every near-tie candidate and keeps the minimum fold.
+        // every settled vertex. The smallest meeting key per distinct
+        // target is its exact distance.
         let cols = search.distinct.len();
-        search.best.resize(cols, INFINITY);
-        search.folded.resize(cols, INFINITY);
         for (i, seeds) in sources.iter().enumerate() {
             settles += self.upward_sweep(search, seeds);
-            for b in search.best.iter_mut() {
-                *b = INFINITY;
-            }
+            search.best.clear();
+            search.best.resize(cols, INFINITY);
             for &m in &search.settled {
                 let df = search.dist[m as usize];
-                for &(_, e, slot) in bucket_range(&search.bucket, m) {
-                    let key = df + search.bspace[slot as usize].dist;
+                for &(_, e, db) in bucket_range(&search.bucket, m) {
+                    let key = df + db;
                     if key < search.best[e as usize] {
                         search.best[e as usize] = key;
                     }
                 }
             }
-            for f in search.folded.iter_mut() {
-                *f = INFINITY;
-            }
-            for si in 0..search.settled.len() {
-                let m = search.settled[si];
-                let df = search.dist[m as usize];
-                for bi in bucket_span(&search.bucket, m) {
-                    let (_, e, slot) = search.bucket[bi];
-                    let best = search.best[e as usize];
-                    if !best.is_finite() {
-                        continue;
-                    }
-                    let key = df + search.bspace[slot as usize].dist;
-                    if key <= best * (1.0 + KEY_TOL) {
-                        let fold = self.fold_candidate(search, m, slot);
-                        if fold < search.folded[e as usize] {
-                            search.folded[e as usize] = fold;
-                        }
-                    }
-                }
-            }
             for (j, &c) in search.tcol.iter().enumerate() {
-                out[i * targets.len() + j] = search.folded[c as usize];
+                out[i * targets.len() + j] = search.best[c as usize];
             }
             search.reset_sweep();
         }
@@ -488,18 +383,19 @@ impl ChOracle {
     }
 
     /// Runs one upward Dijkstra sweep (forward and backward are the same
-    /// search on an undirected hierarchy). Leaves `dist`, `parent`,
-    /// `parent_arc`, `settled` describing the sweep; returns the settle
-    /// count.
+    /// search on an undirected hierarchy). Leaves `dist` and `settled`
+    /// describing the sweep; returns the settle count.
     fn upward_sweep(&self, search: &mut ChSearch, seeds: &[(NodeId, f64)]) -> u64 {
         for &(s, d0) in seeds {
-            debug_assert!(d0 >= 0.0, "seed distances must be non-negative");
+            debug_assert!(
+                d0 >= 0.0 && snap(d0) == d0,
+                "seed distances must be non-negative grid values"
+            );
             if d0 < search.dist[s as usize] {
                 if search.dist[s as usize] == INFINITY {
                     search.touched.push(s);
                 }
                 search.dist[s as usize] = d0;
-                search.parent[s as usize] = NodeId::MAX;
                 search.heap.push_or_decrease(s, d0);
             }
         }
@@ -514,71 +410,11 @@ impl ChOracle {
                         search.touched.push(arc.head);
                     }
                     search.dist[arc.head as usize] = nd;
-                    search.parent[arc.head as usize] = v;
-                    search.parent_arc[arc.head as usize] = arc.packed;
                     search.heap.push_or_decrease(arc.head, nd);
                 }
             }
         }
         search.settled.len() as u64
-    }
-
-    /// Unpacks the up-down candidate path meeting at forward vertex `m`
-    /// and backward-space slot `slot`, folding original edge weights
-    /// source-to-target starting from the seed's initial distance —
-    /// Dijkstra's exact accumulation order.
-    fn fold_candidate(&self, search: &mut ChSearch, m: NodeId, slot: u32) -> f64 {
-        if gpssn_failpoint::failpoint!("ch::unpack") {
-            panic!("injected fault: ch::unpack");
-        }
-        search.unpacks += 1;
-        // Forward chain: walk m -> seed root, then fold in reverse
-        // (travel) order. The root's dist is its untouched seed d0.
-        search.fchain.clear();
-        let mut v = m;
-        while search.parent[v as usize] != NodeId::MAX {
-            search.fchain.push(search.parent_arc[v as usize]);
-            v = search.parent[v as usize];
-        }
-        let mut acc = search.dist[v as usize];
-        for k in (0..search.fchain.len()).rev() {
-            acc = self.fold_ref(&mut search.stack, search.fchain[k], acc);
-        }
-        // Backward chain: slots walk m -> target, which *is* travel
-        // order; each up-arc is traversed against its stored direction.
-        let mut s = slot;
-        loop {
-            let b = search.bspace[s as usize];
-            if b.parent_slot == u32::MAX {
-                break;
-            }
-            acc = self.fold_ref(&mut search.stack, b.packed ^ REV, acc);
-            s = b.parent_slot;
-        }
-        acc
-    }
-
-    /// Folds one packed arc ref: original edges add their weight; a
-    /// shortcut expands to its constituents in travel order (reversed
-    /// traversal flips the constituent order and their [`REV`] bits).
-    /// Iterative with an explicit stack — shortcut nesting is unbounded
-    /// on path-like graphs.
-    fn fold_ref(&self, stack: &mut Vec<u32>, packed: u32, mut acc: f64) -> f64 {
-        debug_assert!(stack.is_empty());
-        stack.push(packed);
-        while let Some(p) = stack.pop() {
-            let arc = &self.arena[(p & !REV) as usize];
-            if arc.mid == ORIGINAL {
-                acc += arc.weight;
-            } else if p & REV == 0 {
-                stack.push(arc.b);
-                stack.push(arc.a);
-            } else {
-                stack.push(arc.a ^ REV);
-                stack.push(arc.b ^ REV);
-            }
-        }
-        acc
     }
 
     /// Serializes the oracle as versioned plain text (rank + arena; the
@@ -597,11 +433,7 @@ impl ChOracle {
         }
         for arc in &self.arena {
             // `{:?}` prints the shortest decimal that round-trips f64.
-            writeln!(
-                w,
-                "{} {} {:?} {} {} {}",
-                arc.tail, arc.head, arc.weight, arc.mid, arc.a, arc.b
-            )?;
+            writeln!(w, "{} {} {:?}", arc.tail, arc.head, arc.weight)?;
         }
         Ok(())
     }
@@ -617,7 +449,7 @@ impl ChOracle {
         let n: usize = parse_field(it.next())?;
         let num_original: usize = parse_field(it.next())?;
         let arena_len: usize = parse_field(it.next())?;
-        if num_original > arena_len || arena_len >= REV as usize {
+        if num_original > arena_len || arena_len > u32::MAX as usize {
             return Err(bad_data("implausible ch arena size"));
         }
         // Cap pre-allocation from untrusted counts; the vectors still
@@ -633,32 +465,15 @@ impl ChOracle {
             let tail: NodeId = parse_field(it.next())?;
             let head: NodeId = parse_field(it.next())?;
             let weight: f64 = parse_field(it.next())?;
-            let mid: NodeId = parse_field(it.next())?;
-            let a: u32 = parse_field(it.next())?;
-            let b: u32 = parse_field(it.next())?;
             if (tail as usize) >= n || (head as usize) >= n {
                 return Err(bad_data("ch arc endpoint out of range"));
             }
-            if !(weight.is_finite() && weight >= 0.0) {
-                return Err(bad_data("ch arc weight must be finite and non-negative"));
+            if !(weight.is_finite() && weight >= 0.0 && snap(weight) == weight) {
+                return Err(bad_data(
+                    "ch arc weight must be a finite, non-negative grid value",
+                ));
             }
-            if mid != ORIGINAL {
-                if (mid as usize) >= n {
-                    return Err(bad_data("ch shortcut middle out of range"));
-                }
-                let child_bound = arena.len() as u32;
-                if (a & !REV) >= child_bound || (b & !REV) >= child_bound {
-                    return Err(bad_data("ch shortcut children must precede it"));
-                }
-            }
-            arena.push(ArenaArc {
-                tail,
-                head,
-                weight,
-                mid,
-                a,
-                b,
-            });
+            arena.push(ArenaArc { tail, head, weight });
         }
         let mut seen = vec![false; n];
         for &r in &rank {
@@ -683,7 +498,6 @@ impl ChOracle {
 struct AdjArc {
     to: NodeId,
     weight: f64,
-    packed: u32,
 }
 
 /// Counters from one [`ChOracle::build_with_stats`] run.
@@ -794,8 +608,8 @@ fn contract_candidate(
         ws.witness.run(adj, rank, ui.to, v, limit);
         for &uj in &ws.neighbors[i + 1..] {
             let sum = ui.weight + uj.weight;
-            if ws.witness.dist(uj.to) * (1.0 + KEY_TOL) < sum {
-                continue; // strictly shorter witness beyond rounding
+            if ws.witness.dist(uj.to) < sum {
+                continue; // strictly shorter witness
             }
             shortcuts.push((ui, uj));
         }
@@ -807,53 +621,27 @@ fn contract_candidate(
     }
 }
 
-/// One persisted vertex of a backward search space.
-#[derive(Debug, Clone, Copy)]
-struct BNode {
-    dist: f64,
-    /// Slot (within the same space) of the parent towards the target, or
-    /// `u32::MAX` at the target itself.
-    parent_slot: u32,
-    /// Packed ref of the up-arc `parent -> this`, to be folded reversed.
-    packed: u32,
-}
-
-/// Reusable state for [`ChOracle`] queries: sweep arrays, persisted
-/// backward spaces, buckets, and unpack scratch. One per thread, like
+/// Reusable state for [`ChOracle`] queries: sweep arrays and the
+/// persisted backward buckets. One per thread, like
 /// [`crate::DijkstraWorkspace`].
 #[derive(Debug, Default)]
 pub struct ChSearch {
     dist: Vec<f64>,
-    parent: Vec<NodeId>,
-    parent_arc: Vec<u32>,
     touched: Vec<NodeId>,
     settled: Vec<NodeId>,
     heap: IndexedMinHeap,
     /// Distinct-target dedup scratch (`tslot` is a lossy hint checked
     /// against `distinct`, so it never needs clearing).
     tslot: Vec<u32>,
-    /// Per-vertex bspace slot of the current backward sweep (lossy; only
-    /// read for vertices settled in the same sweep).
-    slot_hint: Vec<u32>,
     distinct: Vec<NodeId>,
     tcol: Vec<u32>,
-    /// Persisted backward spaces, concatenated; `branges[e]` delimits
-    /// target `e`'s slots.
-    bspace: Vec<BNode>,
-    branges: Vec<(u32, u32)>,
-    /// `(node, target index, bspace slot)`, sorted by node for probing.
-    bucket: Vec<(NodeId, u32, u32)>,
+    /// `(node, target index, backward dist)`, sorted by node for probing.
+    bucket: Vec<(NodeId, u32, f64)>,
     best: Vec<f64>,
-    folded: Vec<f64>,
-    fchain: Vec<u32>,
-    stack: Vec<u32>,
     /// Lifetime count of batches prepared by this workspace.
     resets: u64,
     /// Batches that reused already-sized storage (no growth needed).
     recycles: u64,
-    /// Lifetime count of candidate paths unpacked-and-folded to original
-    /// edges ([`ChOracle`] near-tie exactness work).
-    unpacks: u64,
 }
 
 impl ChSearch {
@@ -866,10 +654,7 @@ impl ChSearch {
         self.resets += 1;
         if self.dist.len() < n {
             self.dist.resize(n, INFINITY);
-            self.parent.resize(n, NodeId::MAX);
-            self.parent_arc.resize(n, 0);
             self.tslot.resize(n, 0);
-            self.slot_hint.resize(n, 0);
             self.heap.grow(n);
         } else if n > 0 {
             self.recycles += 1;
@@ -886,13 +671,6 @@ impl ChSearch {
     #[inline]
     pub fn recycles(&self) -> u64 {
         self.recycles
-    }
-
-    /// Lifetime number of near-tie candidate paths unpacked to original
-    /// edges and folded for bit-exactness.
-    #[inline]
-    pub fn unpacks(&self) -> u64 {
-        self.unpacks
     }
 
     /// Restores `dist` to `INFINITY` at every vertex the latest sweep
@@ -921,13 +699,8 @@ impl ChSearch {
         self.heap.clear();
         self.distinct.clear();
         self.tcol.clear();
-        self.bspace.clear();
-        self.branges.clear();
         self.bucket.clear();
         self.best.clear();
-        self.folded.clear();
-        self.fchain.clear();
-        self.stack.clear();
     }
 }
 
@@ -991,7 +764,7 @@ fn simulate_priority(
             let sum = ui.weight + uj.weight;
             // Count unless a strictly shorter witness exists (the same
             // test the contraction loop applies when inserting).
-            if witness.dist(uj.to) * (1.0 + KEY_TOL) >= sum {
+            if witness.dist(uj.to) >= sum {
                 shortcuts += 1;
             }
         }
@@ -1082,16 +855,15 @@ impl WitnessSearch {
 /// to its higher-ranked endpoint (counting sort by tail — deterministic).
 fn build_up_csr(n: usize, rank: &[u32], arena: &[ArenaArc]) -> (Vec<u32>, Vec<UpArc>) {
     let mut counts = vec![0u32; n + 1];
-    let orient = |arc: &ArenaArc, idx: usize| -> (NodeId, NodeId, u32) {
+    let orient = |arc: &ArenaArc| -> (NodeId, NodeId) {
         if rank[arc.tail as usize] < rank[arc.head as usize] {
-            (arc.tail, arc.head, idx as u32)
+            (arc.tail, arc.head)
         } else {
-            (arc.head, arc.tail, idx as u32 | REV)
+            (arc.head, arc.tail)
         }
     };
-    for (idx, arc) in arena.iter().enumerate() {
-        let (t, _, _) = orient(arc, idx);
-        counts[t as usize + 1] += 1;
+    for arc in arena {
+        counts[orient(arc).0 as usize + 1] += 1;
     }
     for i in 0..n {
         counts[i + 1] += counts[i];
@@ -1100,36 +872,29 @@ fn build_up_csr(n: usize, rank: &[u32], arena: &[ArenaArc]) -> (Vec<u32>, Vec<Up
     let mut arcs = vec![
         UpArc {
             head: 0,
-            weight: 0.0,
-            packed: 0
+            weight: 0.0
         };
         arena.len()
     ];
     let mut cursor = counts;
-    for (idx, arc) in arena.iter().enumerate() {
-        let (t, h, packed) = orient(arc, idx);
+    for arc in arena {
+        let (t, h) = orient(arc);
         let at = cursor[t as usize] as usize;
         cursor[t as usize] += 1;
         arcs[at] = UpArc {
             head: h,
             weight: arc.weight,
-            packed,
         };
     }
     (offsets, arcs)
 }
 
-/// Finds the bucket slice of vertex `m` by binary search over the
-/// node-sorted bucket array.
-fn bucket_range(bucket: &[(NodeId, u32, u32)], m: NodeId) -> &[(NodeId, u32, u32)] {
-    let span = bucket_span(bucket, m);
-    &bucket[span]
-}
-
-fn bucket_span(bucket: &[(NodeId, u32, u32)], m: NodeId) -> std::ops::Range<usize> {
+/// The bucket slice of vertex `m`, by binary search over the node-sorted
+/// bucket array.
+fn bucket_range(bucket: &[(NodeId, u32, f64)], m: NodeId) -> &[(NodeId, u32, f64)] {
     let lo = bucket.partition_point(|&(v, _, _)| v < m);
     let hi = lo + bucket[lo..].partition_point(|&(v, _, _)| v == m);
-    lo..hi
+    &bucket[lo..hi]
 }
 
 fn next_line<B: BufRead>(lines: &mut std::io::Lines<B>) -> io::Result<String> {
@@ -1271,8 +1036,6 @@ mod tests {
                 assert_eq!(a.tail, b.tail);
                 assert_eq!(a.head, b.head);
                 assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-                assert_eq!(a.mid, b.mid);
-                assert_eq!((a.a, a.b), (b.a, b.b));
             }
             // The full serialized text (rank + arena) must match too.
             let mut par_bytes = Vec::new();
@@ -1323,9 +1086,10 @@ mod tests {
         for text in [
             "",
             "notch 1 0 0\n",
-            "ch 2 1 1\n0\n1\n0 5 1.0 4294967295 0 0\n",
-            "ch 2 1 1\n0\n0\n0 1 1.0 4294967295 0 0\n",
-            "ch 2 1 1\n0\n1\n0 1 -1.0 4294967295 0 0\n",
+            "ch 2 1 1\n0\n1\n0 5 1.0\n",
+            "ch 2 1 1\n0\n0\n0 1 1.0\n",
+            "ch 2 1 1\n0\n1\n0 1 -1.0\n",
+            "ch 2 1 1\n0\n1\n0 1 0.1\n", // off the grid
         ] {
             let mut lines = std::io::BufReader::new(text.as_bytes()).lines();
             assert!(
@@ -1340,7 +1104,7 @@ mod tests {
 
         /// CH answers are bit-identical to Dijkstra on random connected
         /// graphs with zero-weight and parallel edges, including seeded
-        /// (on-edge style) multi-source queries.
+        /// (on-edge style) multi-source queries with grid-valued seeds.
         #[test]
         fn matches_dijkstra_bitwise(seed in 0u64..2000, n in 2usize..40, extra in 0usize..60) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1351,8 +1115,8 @@ mod tests {
             for _ in 0..3 {
                 let s1 = rng.gen_range(0..n) as NodeId;
                 let s2 = rng.gen_range(0..n) as NodeId;
-                let d1 = rng.gen_range(0.0..4.0);
-                let d2 = rng.gen_range(0.0..4.0);
+                let d1 = snap(rng.gen_range(0.0..4.0));
+                let d2 = snap(rng.gen_range(0.0..4.0));
                 let seeds = [(s1, d1), (s2, d2)];
                 let want = dijkstra_all(&g, &seeds);
                 let (got, _) = ch.dists(&mut s, &seeds, &targets);
@@ -1378,7 +1142,7 @@ mod tests {
             targets.push(0);
             targets.push((n / 2) as NodeId);
             let seed_lists: Vec<Vec<(NodeId, f64)>> = (0..3)
-                .map(|_| vec![(rng.gen_range(0..n) as NodeId, rng.gen_range(0.0..2.0))])
+                .map(|_| vec![(rng.gen_range(0..n) as NodeId, snap(rng.gen_range(0.0..2.0)))])
                 .collect();
             let refs: Vec<&[(NodeId, f64)]> = seed_lists.iter().map(|v| v.as_slice()).collect();
             let (got, _) = ch.batch_dists(&mut s, &refs, &targets);

@@ -10,6 +10,34 @@
 /// Identifier of a graph vertex (index into the CSR arrays).
 pub type NodeId = u32;
 
+/// Exponent `k` of the weight grid: every edge weight is a multiple of
+/// `2^-k`. Grid values below [`GRID_EXACT_LIMIT`] have at most 53
+/// significant bits, so every sum of them that stays below the limit is
+/// computed exactly — in any order. A shortest path then has one
+/// distance, whichever end a search starts from and whatever shortcuts
+/// it takes.
+pub const GRID_BITS: i32 = 32;
+
+/// `2^(53-k)`: sums of grid values below this bound are exact.
+pub const GRID_EXACT_LIMIT: f64 = (1u64 << (53 - GRID_BITS)) as f64;
+
+const GRID_SCALE: f64 = (1u64 << GRID_BITS) as f64;
+
+/// Rounds `x` to the nearest grid value (on-edge offsets, seed
+/// distances). Scaling by a power of two is exact, so the only rounding
+/// is the one to an integer multiple of the step.
+#[inline]
+pub fn snap(x: f64) -> f64 {
+    (x * GRID_SCALE).round() / GRID_SCALE
+}
+
+/// Rounds `x` up onto the grid. Edge weights use this, so a road never
+/// gets shorter than its Euclidean length.
+#[inline]
+pub fn snap_up(x: f64) -> f64 {
+    (x * GRID_SCALE).ceil() / GRID_SCALE
+}
+
 /// Identifier of an undirected edge (index into the original edge list).
 pub type EdgeId = u32;
 
@@ -28,7 +56,9 @@ pub struct Neighbor {
 /// An undirected weighted graph in CSR form.
 ///
 /// Construct with [`CsrGraph::from_edges`]; the graph is immutable
-/// afterwards. Self-loops are rejected and duplicate edges are kept (both
+/// afterwards. Weights are rounded up onto the grid ([`snap_up`]), so
+/// path sums are exact while they stay below [`GRID_EXACT_LIMIT`].
+/// Self-loops are rejected and duplicate edges are kept (both
 /// are traversed; shortest-path algorithms naturally use the lighter one).
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
@@ -40,15 +70,18 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a CSR graph with `n` vertices from an undirected edge list.
+    /// Builds a CSR graph with `n` vertices from an undirected edge list,
+    /// rounding every weight up onto the grid.
     ///
     /// # Panics
     ///
     /// Panics if an edge references a vertex `>= n`, has a negative or
     /// non-finite weight, or is a self-loop.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId, f64)]) -> Self {
+        let edges: Vec<(NodeId, NodeId, f64)> =
+            edges.iter().map(|&(u, v, w)| (u, v, snap_up(w))).collect();
         let mut degree = vec![0u32; n];
-        for &(u, v, w) in edges {
+        for &(u, v, w) in &edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge endpoint out of range"
@@ -95,7 +128,7 @@ impl CsrGraph {
         CsrGraph {
             offsets,
             neighbors,
-            edges: edges.to_vec(),
+            edges,
         }
     }
 
@@ -232,6 +265,20 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_negative_weight() {
         CsrGraph::from_edges(2, &[(0, 1, -1.0)]);
+    }
+
+    #[test]
+    fn weights_are_rounded_up_onto_the_grid() {
+        let step = 2f64.powi(-GRID_BITS);
+        let w = 0.1; // not a multiple of any power of two
+        let g = CsrGraph::from_edges(2, &[(0, 1, w)]);
+        let snapped = g.edge(0).2;
+        assert!(snapped >= w && snapped - w < step);
+        assert_eq!(snap(snapped), snapped);
+        assert_eq!(snap_up(snapped), snapped);
+        // Grid values sum exactly in any order.
+        let (a, b, c) = (snap(0.1), snap(0.2), snap(0.3));
+        assert_eq!((a + b) + c, a + (b + c));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! built on:
 //!
 //! * [`CsrGraph`] — a compact, cache-friendly CSR (compressed sparse row)
-//!   representation of an undirected weighted graph.
+//!   representation of an undirected weighted graph, its weights on a
+//!   power-of-two grid ([`snap`]) so path sums are exact.
 //! * [`dijkstra`] — exact shortest-path distances (full, radius-bounded, and
 //!   early-terminating multi-target variants) built on an indexed binary
 //!   heap with decrease-key.
@@ -37,7 +38,7 @@ pub mod workspace;
 pub use bfs::{bounded_hops, hop_distances};
 pub use ch::{ChBuildStats, ChOracle, ChSearch};
 pub use components::{connected_components, is_connected_subset};
-pub use csr::{CsrGraph, EdgeId, NodeId};
+pub use csr::{snap, snap_up, CsrGraph, EdgeId, NodeId, GRID_BITS, GRID_EXACT_LIMIT};
 pub use dijkstra::{
     dijkstra_all, dijkstra_bounded, dijkstra_targets, dijkstra_targets_counted, DistanceMap,
     INFINITY,

@@ -182,10 +182,16 @@ use gpssn_spatial::KeywordSignature;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-const INDEX_MAGIC_V1: &str = "# gpssn-road-index v1";
-const INDEX_MAGIC_V2: &str = "# gpssn-road-index v2";
+/// v3: pivot distances and CH weights are sums of grid-valued lengths
+/// (see `gpssn_graph::GRID_BITS`).
+const INDEX_MAGIC: &str = "# gpssn-road-index v3";
 
-/// The serialized sections of a v2 index file, in file order. Each is
+/// Magic prefix shared by every version. v1 and v2 files predate the
+/// weight grid: their stored distances are not the ones this build
+/// computes, so they are rejected with a request to rebuild.
+const INDEX_MAGIC_PREFIX: &str = "# gpssn-road-index v";
+
+/// The serialized sections of an index file, in file order. Each is
 /// independently CRC-32-checked on load, so corruption is reported (and,
 /// for the `ch` section, healed) at section granularity.
 const SECTION_NAMES: [&str; 4] = ["cfg", "pivots", "pois", "ch"];
@@ -196,7 +202,7 @@ const SECTION_NAMES: [&str; 4] = ["cfg", "pivots", "pois", "ch"];
 const MAX_PREALLOC: usize = 1 << 16;
 
 /// Typed payload behind the `InvalidData` [`io::Error`] returned when a
-/// v2 section fails its checksum; recover it with [`corrupt_section`].
+/// section fails its checksum; recover it with [`corrupt_section`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptSection {
     /// Which serialized section failed verification (`"cfg"`,
@@ -217,7 +223,7 @@ impl std::fmt::Display for CorruptSection {
 impl std::error::Error for CorruptSection {}
 
 /// The corrupt section's name, when `e` is a checksum failure from the
-/// v2 index reader (`None` for every other I/O error). This is what
+/// index reader (`None` for every other I/O error). This is what
 /// callers use to map the error onto a typed `IndexCorrupt` and to
 /// decide whether a rebuild can heal it.
 pub fn corrupt_section(e: &io::Error) -> Option<&str> {
@@ -235,7 +241,7 @@ fn corrupt(section: &str) -> io::Error {
     )
 }
 
-/// Serializes a [`RoadIndex`] as versioned plain text (the v2 sectioned
+/// Serializes a [`RoadIndex`] as versioned plain text (the v3 sectioned
 /// format: every section carries a line count and a CRC-32 of its body,
 /// so loads verify integrity per section).
 ///
@@ -246,7 +252,7 @@ fn corrupt(section: &str) -> io::Error {
 /// road network and are rebuilt on load.
 pub fn write_road_index<W: Write>(idx: &RoadIndex, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
-    writeln!(w, "{INDEX_MAGIC_V2}")?;
+    writeln!(w, "{INDEX_MAGIC}")?;
     let cfg = idx.config();
     let mut body = Vec::new();
     writeln!(
@@ -296,10 +302,10 @@ fn write_section<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()>
     w.write_all(body)
 }
 
-/// Deserializes a [`RoadIndex`] written by [`write_road_index`]. Reads
-/// both the current v2 sectioned format (verifying every section's
-/// CRC-32 — a mismatch is an `InvalidData` error carrying
-/// [`CorruptSection`]) and the legacy v1 format (no checksums).
+/// Deserializes a [`RoadIndex`] written by [`write_road_index`],
+/// verifying every section's CRC-32 (a mismatch is an `InvalidData`
+/// error carrying [`CorruptSection`]). Files of the older v1/v2 formats
+/// are rejected with an `InvalidData` error asking for a rebuild.
 ///
 /// `road` and `pois` must be the network and POI set the index was built
 /// over (counts are validated). An index saved without a CH oracle loads
@@ -310,15 +316,7 @@ pub fn read_road_index<R: Read>(road: &RoadNetwork, pois: &PoiSet, r: R) -> io::
     if gpssn_failpoint::failpoint!("index::read_road_index") {
         return Err(io::Error::other("injected fault: index::read_road_index"));
     }
-    let mut lines = BufReader::new(r).lines();
-    match next_line(&mut lines)?.trim() {
-        INDEX_MAGIC_V2 => {
-            let sections = read_sections(&mut lines)?;
-            assemble_v2(road, pois, &sections, false).map(|h| h.index)
-        }
-        INDEX_MAGIC_V1 => read_v1_body(road, pois, &mut lines),
-        _ => Err(bad_data("bad road-index magic")),
-    }
+    read_file(road, pois, r, false).map(|h| h.index)
 }
 
 /// Outcome of a healing index load (see [`read_road_index_healing`]).
@@ -332,14 +330,12 @@ pub struct HealedLoad {
     pub rebuilt_ch: bool,
 }
 
-/// Self-healing variant of [`read_road_index`]: a v2 file whose `ch`
+/// Self-healing variant of [`read_road_index`]: a file whose `ch`
 /// section fails its checksum is *healed* by rebuilding the
 /// contraction-hierarchy oracle from the road graph (deterministic, and
 /// answer-equivalent — the oracle is a pure accelerator). Corruption in
 /// any other section (`cfg`, `pivots`, `pois`) is not recoverable from
-/// the inputs at hand and stays a [`CorruptSection`] error; so does any
-/// corruption in a legacy v1 file, which carries no checksums to
-/// localize the damage.
+/// the inputs at hand and stays a [`CorruptSection`] error.
 pub fn read_road_index_healing<R: Read>(
     road: &RoadNetwork,
     pois: &PoiSet,
@@ -348,21 +344,28 @@ pub fn read_road_index_healing<R: Read>(
     if gpssn_failpoint::failpoint!("index::read_road_index") {
         return Err(io::Error::other("injected fault: index::read_road_index"));
     }
+    read_file(road, pois, r, true)
+}
+
+/// Checks the magic line, then reads and assembles the sections.
+fn read_file<R: Read>(
+    road: &RoadNetwork,
+    pois: &PoiSet,
+    r: R,
+    heal: bool,
+) -> io::Result<HealedLoad> {
     let mut lines = BufReader::new(r).lines();
-    match next_line(&mut lines)?.trim() {
-        INDEX_MAGIC_V2 => {
-            let sections = read_sections(&mut lines)?;
-            assemble_v2(road, pois, &sections, true)
-        }
-        INDEX_MAGIC_V1 => read_v1_body(road, pois, &mut lines).map(|index| HealedLoad {
-            index,
-            rebuilt_ch: false,
-        }),
+    let magic = next_line(&mut lines)?;
+    match magic.trim() {
+        INDEX_MAGIC => assemble(road, pois, &read_sections(&mut lines)?, heal),
+        old if old.starts_with(INDEX_MAGIC_PREFIX) => Err(bad_data(&format!(
+            "{old:?} predates grid-exact distances; rebuild the index"
+        ))),
         _ => Err(bad_data("bad road-index magic")),
     }
 }
 
-/// One v2 section, read off the file: its name, whether its body matched
+/// One section, read off the file: its name, whether its body matched
 /// the stored CRC, and the body text itself.
 struct Section {
     name: String,
@@ -403,11 +406,11 @@ fn read_sections<B: BufRead>(lines: &mut io::Lines<B>) -> io::Result<Vec<Section
     Ok(out)
 }
 
-/// Parses the four verified v2 sections into a [`RoadIndex`]. With
+/// Parses the four verified sections into a [`RoadIndex`]. With
 /// `heal` set, a corrupt `ch` section is replaced by a fresh
 /// [`ChOracle::build`] over the road graph; otherwise (and for every
 /// other corrupt section) the load fails with [`CorruptSection`].
-fn assemble_v2(
+fn assemble(
     road: &RoadNetwork,
     pois: &PoiSet,
     sections: &[Section],
@@ -469,29 +472,6 @@ fn assemble_v2(
         index: RoadIndex::from_loaded_parts(pois, pivots, cfg, poi_aug, ch),
         rebuilt_ch,
     })
-}
-
-/// Parses a legacy v1 body (the magic line already consumed): the same
-/// sections as v2, concatenated with no headers and no checksums.
-fn read_v1_body<B: BufRead>(
-    road: &RoadNetwork,
-    pois: &PoiSet,
-    lines: &mut io::Lines<B>,
-) -> io::Result<RoadIndex> {
-    let (node_capacity, r_min, r_max, samples_per_node) = parse_cfg(lines)?;
-    let pivot_ids = parse_pivots(lines, road)?;
-    let poi_aug = parse_pois(lines, pois, pivot_ids.len())?;
-    let ch = parse_ch(lines, road)?;
-    let cfg = RoadIndexConfig {
-        node_capacity,
-        r_min,
-        r_max,
-        samples_per_node,
-        build_ch: ch.is_some(),
-        build: crate::build::BuildOptions::default(),
-    };
-    let pivots = RoadPivots::new_with_threads(road, pivot_ids, cfg.build.threads);
-    Ok(RoadIndex::from_loaded_parts(pois, pivots, cfg, poi_aug, ch))
 }
 
 fn parse_cfg<B: BufRead>(lines: &mut io::Lines<B>) -> io::Result<(usize, f64, f64, usize)> {
@@ -845,31 +825,18 @@ mod tests {
     #[test]
     fn read_road_index_rejects_garbage() {
         let (road, pois) = small_instance();
-        for text in ["", "# wrong magic\n", "# gpssn-road-index v1\ncfg nope\n"] {
+        for text in ["", "# wrong magic\n", "# gpssn-road-index v3\ncfg nope\n"] {
             assert!(read_road_index(&road, &pois, text.as_bytes()).is_err());
         }
     }
 
-    /// Strips the v2 framing (magic + `section` headers) down to the
-    /// legacy v1 layout: the same bodies, concatenated.
-    fn downgrade_to_v1(v2: &str) -> String {
-        let mut out = String::from("# gpssn-road-index v1\n");
-        for line in v2.lines().skip(1) {
-            if !line.starts_with("section ") {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        out
-    }
-
     /// Flips one character inside the body of the named section (leaving
     /// every header line intact), simulating bit rot.
-    fn corrupt_body(v2: &str, name: &str) -> String {
+    fn corrupt_body(text: &str, name: &str) -> String {
         let mut out = Vec::new();
         let mut in_target = false;
         let mut done = false;
-        for line in v2.lines() {
+        for line in text.lines() {
             if line.starts_with("section ") {
                 in_target = line.split_whitespace().nth(1) == Some(name);
                 out.push(line.to_string());
@@ -889,18 +856,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
+    fn pre_grid_v1_and_v2_files_are_rejected_with_a_rebuild_hint() {
         let (road, pois) = small_instance();
         let idx = build_index(&road, &pois, true);
         let mut buf = Vec::new();
         write_road_index(&idx, &mut buf).unwrap();
-        let v1 = downgrade_to_v1(std::str::from_utf8(&buf).unwrap());
-        let back = read_road_index(&road, &pois, v1.as_bytes()).unwrap();
-        assert_same_index(&idx, &back);
-        // The healing reader also accepts v1 (without healing anything).
-        let healed = read_road_index_healing(&road, &pois, v1.as_bytes()).unwrap();
-        assert!(!healed.rebuilt_ch);
-        assert_same_index(&idx, &healed.index);
+        let text = std::str::from_utf8(&buf).unwrap();
+        assert!(text.starts_with("# gpssn-road-index v3\n"));
+        for old in ["v1", "v2"] {
+            let stale = text.replacen("v3", old, 1);
+            for err in [
+                read_road_index(&road, &pois, stale.as_bytes()).unwrap_err(),
+                read_road_index_healing(&road, &pois, stale.as_bytes()).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{old}");
+                assert!(err.to_string().contains("rebuild"), "{old}: {err}");
+                assert_eq!(corrupt_section(&err), None, "{old}");
+            }
+        }
     }
 
     #[test]
@@ -954,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn intact_v2_files_do_not_trigger_healing() {
+    fn intact_files_do_not_trigger_healing() {
         let (road, pois) = small_instance();
         let idx = build_index(&road, &pois, false);
         let mut buf = Vec::new();

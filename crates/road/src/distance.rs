@@ -132,9 +132,8 @@ pub fn dist_rn_many_ch(
 /// Bucket-based many-to-many `dist_RN`: the full `sources × targets`
 /// distance matrix (row-major) in one oracle call — one backward sweep
 /// per distinct target-edge endpoint, one forward sweep per source.
-/// Values are bit-identical to calling the Dijkstra backend per source
-/// (`dist[i][j]` folds source-to-target like a Dijkstra seeded at
-/// `sources[i]`).
+/// Values are bit-identical to calling the Dijkstra backend per source:
+/// lengths and offsets are grid values, so every path sum is exact.
 pub fn dist_rn_matrix_ch(
     net: &RoadNetwork,
     ch: &ChOracle,
@@ -523,7 +522,8 @@ mod tests {
             let d10 = dist_rn(&net, &pts[1], &pts[0]);
             let d02 = dist_rn(&net, &pts[0], &pts[2]);
             let d12 = dist_rn(&net, &pts[1], &pts[2]);
-            prop_assert!((d01 - d10).abs() < 1e-9, "symmetry");
+            // Grid-valued lengths make the two directions' sums exact.
+            prop_assert_eq!(d01.to_bits(), d10.to_bits(), "symmetry");
             prop_assert!(d01 >= 0.0);
             let euclid = pts[0].location(&net).distance(&pts[1].location(&net));
             prop_assert!(d01 + 1e-9 >= euclid, "network >= euclidean: {d01} vs {euclid}");

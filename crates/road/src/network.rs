@@ -1,7 +1,7 @@
 //! The road network `G_r` (Definition 1): intersections with coordinates,
 //! road segments as weighted edges.
 
-use gpssn_graph::{CsrGraph, EdgeId, NodeId};
+use gpssn_graph::{CsrGraph, EdgeId, NodeId, GRID_EXACT_LIMIT};
 use gpssn_spatial::Point;
 
 /// A spatial road network: a weighted undirected graph whose vertices
@@ -13,6 +13,12 @@ pub struct RoadNetwork {
 }
 
 impl RoadNetwork {
+    /// Exclusive bound on the total road length: half of
+    /// [`GRID_EXACT_LIMIT`]. Every distance the engine computes — a path
+    /// plus at most one more path or edge — then stays below the limit,
+    /// so it is an exact sum of grid values whichever way it is summed.
+    pub const MAX_TOTAL_LENGTH: f64 = GRID_EXACT_LIMIT / 2.0;
+
     /// Builds a road network where each edge's length is the Euclidean
     /// distance between its endpoints (the usual model for road segments).
     pub fn from_euclidean_edges(locations: Vec<Point>, edges: &[(NodeId, NodeId)]) -> Self {
@@ -29,6 +35,13 @@ impl RoadNetwork {
     /// Builds a road network with explicit edge lengths (lengths must be
     /// at least the Euclidean endpoint distance for the Euclidean-prefilter
     /// optimizations to stay exact; this is asserted in debug builds).
+    /// Lengths are rounded up onto the weight grid by [`CsrGraph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid edge (see [`CsrGraph::from_edges`]) and when
+    /// the total length is not below [`RoadNetwork::MAX_TOTAL_LENGTH`]:
+    /// beyond it, path sums are no longer exact.
     pub fn from_weighted_edges(locations: Vec<Point>, edges: &[(NodeId, NodeId, f64)]) -> Self {
         #[cfg(debug_assertions)]
         for &(u, v, w) in edges {
@@ -39,6 +52,12 @@ impl RoadNetwork {
             );
         }
         let graph = CsrGraph::from_edges(locations.len(), edges);
+        assert!(
+            graph.total_weight() < Self::MAX_TOTAL_LENGTH,
+            "total road length {} exceeds the exact range of the weight grid ({})",
+            graph.total_weight(),
+            Self::MAX_TOTAL_LENGTH
+        );
         RoadNetwork { graph, locations }
     }
 
@@ -135,6 +154,21 @@ mod tests {
     fn rejects_sub_euclidean_lengths() {
         let locs = vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
         RoadNetwork::from_weighted_edges(locs, &[(0, 1, 4.9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact range")]
+    fn rejects_networks_too_long_for_the_grid() {
+        let locs = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+        RoadNetwork::from_weighted_edges(locs, &[(0, 1, RoadNetwork::MAX_TOTAL_LENGTH)]);
+    }
+
+    #[test]
+    fn accepts_networks_just_inside_the_grid_range() {
+        let locs = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+        let len = RoadNetwork::MAX_TOTAL_LENGTH - 1.0;
+        let net = RoadNetwork::from_weighted_edges(locs, &[(0, 1, len)]);
+        assert_eq!(net.total_length(), len);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::distance::{self, dist_rn};
 use crate::network::RoadNetwork;
-use gpssn_graph::{DijkstraWorkspace, EdgeId, NodeId};
+use gpssn_graph::{snap, DijkstraWorkspace, EdgeId, NodeId};
 use gpssn_spatial::{Point, RStarTree};
 
 /// Identifier of a POI within a [`PoiSet`].
@@ -19,12 +19,15 @@ pub struct NetworkPoint {
 }
 
 impl NetworkPoint {
-    /// Creates a network point, clamping `offset` into the edge.
+    /// Creates a network point, rounding `offset` onto the weight grid
+    /// ([`gpssn_graph::snap`]) and clamping it into the edge. Both
+    /// offsets of a point are then grid values, so every distance
+    /// through it is an exact sum.
     pub fn new(net: &RoadNetwork, edge: EdgeId, offset: f64) -> Self {
         let len = net.edge_length(edge);
         NetworkPoint {
             edge,
-            offset: offset.clamp(0.0, len),
+            offset: snap(offset).clamp(0.0, len),
         }
     }
 

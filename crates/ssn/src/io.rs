@@ -110,6 +110,10 @@ pub fn read_ssn<R: Read>(r: R) -> io::Result<SpatialSocialNetwork> {
     }
     let ne: usize = field(&next("road-edges")?, "road-edges")?;
     let mut edges = Vec::with_capacity(ne.min(MAX_PREALLOC));
+    // The running total mirrors `RoadNetwork::total_length` (snapped
+    // lengths, summed in file order), so the check below agrees with the
+    // constructor's assert bit for bit.
+    let mut total = 0.0f64;
     for _ in 0..ne {
         let line = next("edge")?;
         let mut it = line.split_whitespace();
@@ -133,7 +137,14 @@ pub fn read_ssn<R: Read>(r: R) -> io::Result<SpatialSocialNetwork> {
                 "edge ({u}, {v}) length {len} shorter than Euclidean distance {euclid}"
             )));
         }
+        total += gpssn_graph::snap_up(len);
         edges.push((u, v, len));
+    }
+    if total >= RoadNetwork::MAX_TOTAL_LENGTH {
+        return Err(bad(format!(
+            "total road length {total} is too long for exact distances (limit {})",
+            RoadNetwork::MAX_TOTAL_LENGTH
+        )));
     }
     let road = RoadNetwork::from_weighted_edges(locations, &edges);
     let num_edges = road.num_edges();
@@ -459,6 +470,25 @@ mod tests {
                 "{what} must be InvalidData"
             );
         }
+    }
+
+    #[test]
+    fn rejects_road_networks_too_long_for_exact_distances() {
+        // Two edges that each fit but together reach the grid's exact
+        // range.
+        let half = RoadNetwork::MAX_TOTAL_LENGTH / 2.0;
+        let file = |second: f64| {
+            format!(
+                "# gpssn-ssn v1\n\
+                 road-vertices 3\n0.0 0.0\n1.0 0.0\n2.0 0.0\n\
+                 road-edges 2\n0 1 {half:?}\n1 2 {second:?}\n\
+                 pois 0\nusers 1 topics 1\n0.5\nfriendships 0\nhomes 1\n0 0.0\n"
+            )
+        };
+        assert!(read_ssn(file(half - 1.0).as_bytes()).is_ok());
+        let err = read_ssn(file(half).as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("too long"), "{err}");
     }
 
     #[test]

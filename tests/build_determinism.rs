@@ -4,7 +4,7 @@
 //! CH contraction, chunked pivot tables and augmentation) is that the
 //! *serialized* index is a pure function of the inputs — the thread
 //! count sizes the worker pool and nothing else. These tests pin that
-//! contract at the workspace level, over the real v2 on-disk format:
+//! contract at the workspace level, over the real on-disk format:
 //!
 //! 1. **Road-index bytes** — the full pipeline (pivot tables, POI
 //!    augmentation, STR tree, CH oracle) built at 1, 2, 8, and 0 (= all
@@ -62,7 +62,7 @@ fn road_index_bytes_identical_across_thread_counts() {
 }
 
 #[test]
-fn parallel_build_round_trips_through_the_v2_format() {
+fn parallel_build_round_trips_through_the_index_format() {
     let ssn = small_ssn(11);
     let bytes = road_bytes(&ssn, 0);
     let idx = read_road_index(ssn.road(), ssn.pois(), &bytes[..]).expect("read back");

@@ -107,7 +107,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
                         check_answer(&ssn, &queries[i], ans)
                             .expect("truncated answer violates Definition 5");
                         assert!(
-                            ans.maxdist + 1e-9 >= truth_maxdist,
+                            ans.maxdist >= truth_maxdist,
                             "schedule {seed} query {i}: degraded answer beats the optimum"
                         );
                     }
@@ -121,7 +121,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
                     check_answer(&ssn, &queries[i], ans)
                         .expect("sampled answer violates Definition 5");
                     assert!(
-                        ans.maxdist + 1e-9 >= truth_maxdist,
+                        ans.maxdist >= truth_maxdist,
                         "schedule {seed} query {i}: sampled answer beats the optimum"
                     );
                 }
@@ -175,9 +175,7 @@ fn always_firing_ch_faults_stay_exact_via_the_breaker() {
         .unwrap();
     let truth = baseline.answer.expect("fixture query has an answer");
 
-    let plan = FaultPlan::new(99)
-        .with_site("ch::settle_exhaustion", FireRule::Always)
-        .with_site("ch::unpack", FireRule::Always);
+    let plan = FaultPlan::new(99).with_site("ch::settle_exhaustion", FireRule::Always);
     let _guard = install(plan);
     for _ in 0..4 {
         let out = engine

@@ -116,7 +116,7 @@ fn healing_reader_survives_every_single_bit_flip() {
         + text
             .lines()
             .find(|l| l.starts_with("section ch "))
-            .expect("v2 file has a ch section")
+            .expect("index file has a ch section")
             .len()
         + 1;
 

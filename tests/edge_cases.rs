@@ -290,7 +290,7 @@ fn boundary_radii_match_brute_force() {
         let oracle = exact_baseline(&ssn, &q);
         match (&out.answer, &oracle) {
             (Some(a), Some(b)) => assert!(
-                (a.maxdist - b.maxdist).abs() < 1e-9,
+                a.maxdist.to_bits() == b.maxdist.to_bits(),
                 "engine {} vs oracle {} at r = {radius}",
                 a.maxdist,
                 b.maxdist

@@ -59,7 +59,7 @@ fn engine_matches_brute_force_across_seeds_and_parameters() {
                                 answered += 1;
                                 check_answer(&ssn, &q, g).expect("engine answer invalid");
                                 assert!(
-                                    (e.maxdist - g.maxdist).abs() < 1e-6,
+                                    e.maxdist.to_bits() == g.maxdist.to_bits(),
                                     "objective mismatch seed={seed} q={q:?}: \
                                      baseline {} vs engine {}",
                                     e.maxdist,
@@ -100,7 +100,7 @@ fn engine_matches_brute_force_on_zipf_data() {
         let got = engine.query(&q).answer;
         match (expected, got) {
             (None, None) => {}
-            (Some(e), Some(g)) => assert!((e.maxdist - g.maxdist).abs() < 1e-6),
+            (Some(e), Some(g)) => assert!(e.maxdist.to_bits() == g.maxdist.to_bits()),
             other => panic!("mismatch on seed {seed}: {other:?}"),
         }
     }
@@ -133,7 +133,7 @@ fn every_pruning_subset_is_exact() {
         match (&reference, &got) {
             (None, None) => {}
             (Some(a), Some(b)) => assert!(
-                (a.maxdist - b.maxdist).abs() < 1e-6,
+                a.maxdist.to_bits() == b.maxdist.to_bits(),
                 "mask {mask}: {} vs {}",
                 a.maxdist,
                 b.maxdist

@@ -67,7 +67,7 @@ fn approximate_answers_validate_and_bound_exact() {
             check_answer(&ssn, &q, a).expect("approximate answer violates Definition 5");
             if let Some(e) = &exact {
                 assert!(
-                    a.maxdist + 1e-9 >= e.maxdist,
+                    a.maxdist >= e.maxdist,
                     "approximate ({}) beat exact ({})",
                     a.maxdist,
                     e.maxdist
@@ -123,14 +123,14 @@ fn top_k_is_sorted_valid_and_starts_at_the_optimum() {
     if let Some(best) = &single {
         assert!(!top.is_empty());
         assert!(
-            (top[0].maxdist - best.maxdist).abs() < 1e-6,
+            top[0].maxdist.to_bits() == best.maxdist.to_bits(),
             "top-1 ({}) differs from the optimum ({})",
             top[0].maxdist,
             best.maxdist
         );
     }
     for w in top.windows(2) {
-        assert!(w[0].maxdist <= w[1].maxdist + 1e-9, "top-k not sorted");
+        assert!(w[0].maxdist <= w[1].maxdist, "top-k not sorted");
     }
     for ans in &top {
         check_answer(&ssn, &q, ans).expect("top-k answer violates Definition 5");
@@ -168,7 +168,7 @@ fn top_k_matches_exhaustive_oracle() {
         );
         for (e, g) in expected.iter().zip(got.iter()) {
             assert!(
-                (e.maxdist - g.maxdist).abs() < 1e-6,
+                e.maxdist.to_bits() == g.maxdist.to_bits(),
                 "seed {seed}: objective ranks differ: {} vs {}",
                 e.maxdist,
                 g.maxdist
@@ -194,7 +194,10 @@ fn top_1_matches_query_across_seeds() {
         match (single, top.first()) {
             (None, None) => {}
             (Some(a), Some(b)) => {
-                assert!((a.maxdist - b.maxdist).abs() < 1e-6, "seed {seed} mismatch")
+                assert!(
+                    a.maxdist.to_bits() == b.maxdist.to_bits(),
+                    "seed {seed} mismatch"
+                )
             }
             other => panic!("seed {seed}: feasibility mismatch {other:?}"),
         }

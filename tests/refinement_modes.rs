@@ -8,8 +8,10 @@
 //!
 //! The same corpus drives a differential oracle over the query modes:
 //! every pruning switch (alone and all together) and the tight MBR test
-//! on both backends, top-1, and the sampler must agree with the default
-//! exact query on the optimum's value.
+//! on both backends, with the cache on and off, top-1, and the sampler
+//! must agree with the default exact query on the optimum's value, bit
+//! for bit: road lengths are grid values, so `maxdist` has one value
+//! however its distances were computed.
 
 use gpssn::core::algorithm::{DistanceBackend, EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
@@ -85,18 +87,18 @@ fn assert_bit_identical(a: &Option<GpSsnAnswer>, b: &Option<GpSsnAnswer>, what: 
     }
 }
 
-/// Value comparison: feasibility, and `maxdist` at most `max_ulps`
-/// apart (0 = bitwise). The optimum's value is unique, but two centers
-/// can tie on it, and the pruning switches change which of them is
-/// verified first — so the group may legitimately differ.
-fn assert_same_value(a: Option<&GpSsnAnswer>, b: Option<&GpSsnAnswer>, max_ulps: u64, what: &str) {
+/// Value comparison: feasibility, and the bits of `maxdist`. The
+/// optimum's value is unique, but two centers can tie on it, and the
+/// pruning switches change which of them is verified first — so the
+/// group may legitimately differ.
+fn assert_same_value(a: Option<&GpSsnAnswer>, b: Option<&GpSsnAnswer>, what: &str) {
     match (a, b) {
         (None, None) => {}
         (Some(x), Some(y)) => {
-            let ulps = x.maxdist.to_bits().abs_diff(y.maxdist.to_bits());
-            assert!(
-                ulps <= max_ulps,
-                "{what}: optimum differs by {ulps} ulps ({} vs {})",
+            assert_eq!(
+                x.maxdist.to_bits(),
+                y.maxdist.to_bits(),
+                "{what}: optimum differs ({} vs {})",
                 x.maxdist,
                 y.maxdist
             );
@@ -111,14 +113,11 @@ fn assert_same_value(a: Option<&GpSsnAnswer>, b: Option<&GpSsnAnswer>, max_ulps:
 
 /// Every pruning switch off alone, all four off together, and the
 /// tight MBR test on — each a configuration that must not move the
-/// optimum — with the ulps it may move the optimum's last bits by.
-///
-/// Switches that enlarge the candidate set (interest and
+/// optimum. Switches that enlarge the candidate set (interest and
 /// social-distance pruning) can flip `verify_center` from per-user
-/// distance sweeps to per-POI sweeps, which sum the same shortest path
-/// in the opposite order: on this corpus the optimum then moves by up
-/// to 2 ulps. Every other row is bitwise.
-fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
+/// distance sweeps to per-POI sweeps; both sum a shortest path to the
+/// same bits.
+fn switch_rows() -> Vec<(&'static str, QueryOptions)> {
     let d = QueryOptions::default;
     vec![
         (
@@ -127,7 +126,6 @@ fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
                 use_interest_pruning: false,
                 ..d()
             },
-            4,
         ),
         (
             "no social-distance pruning",
@@ -135,7 +133,6 @@ fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
                 use_social_distance_pruning: false,
                 ..d()
             },
-            4,
         ),
         (
             "no matching pruning",
@@ -143,7 +140,6 @@ fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
                 use_matching_pruning: false,
                 ..d()
             },
-            0,
         ),
         (
             "no delta pruning",
@@ -151,7 +147,6 @@ fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
                 use_delta_pruning: false,
                 ..d()
             },
-            0,
         ),
         (
             "no pruning",
@@ -162,7 +157,6 @@ fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
                 use_delta_pruning: false,
                 ..d()
             },
-            4,
         ),
         (
             "tight MBR test",
@@ -170,7 +164,6 @@ fn switch_rows() -> Vec<(&'static str, QueryOptions, u64)> {
                 use_tight_mbr_test: true,
                 ..d()
             },
-            0,
         ),
     ]
 }
@@ -192,15 +185,19 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
     for seed in 0..4u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
         let engine = GpSsnEngine::build(&ssn, small_cfg(seed, None));
+        // One warm cache shared by every row below, so values stored by
+        // per-user rows are served to per-POI columns and back.
+        let cached =
+            GpSsnEngine::build(&ssn, small_cfg(seed, Some(DistanceCacheConfig::default())));
         for q in corpus(&ssn, seed) {
             let dij = engine.query_with_options(&q, &backend_opts(DistanceBackend::Dijkstra));
             let ch = engine.query_with_options(&q, &backend_opts(DistanceBackend::Ch));
             assert_bit_identical(&dij.answer, &ch.answer, "CH backend vs Dijkstra");
             assert_eq!(
-                dij.metrics.ch_batches, 0,
+                dij.metrics.backend_served.ch_batches, 0,
                 "Dijkstra backend must not touch the CH oracle"
             );
-            ch_engaged += (ch.metrics.ch_batches > 0) as usize;
+            ch_engaged += (ch.metrics.backend_served.ch_batches > 0) as usize;
             checked += 1;
             answered += dij.answer.is_some() as usize;
 
@@ -208,14 +205,16 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
             // reference for every other configuration and mode.
             let exact = ch.answer.as_ref();
             for backend in [DistanceBackend::Dijkstra, DistanceBackend::Ch] {
-                for (name, row, max_ulps) in switch_rows() {
+                for (name, row) in switch_rows() {
                     let opts = QueryOptions {
                         distance_backend: backend,
                         ..row
                     };
                     let out = engine.query_with_options(&q, &opts);
                     let what = format!("{name}, {backend:?}");
-                    assert_same_value(out.answer.as_ref(), exact, max_ulps, &what);
+                    assert_same_value(out.answer.as_ref(), exact, &what);
+                    let warm = cached.query_with_options(&q, &opts);
+                    assert_bit_identical(&warm.answer, &out.answer, &format!("{what}, cache on"));
                 }
             }
             let statically_infeasible = engine
@@ -227,19 +226,15 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
             let top1 = engine
                 .try_query_top_k(&q, 1, &QueryOptions::default(), &unlimited)
                 .expect("top-1 runs");
-            assert_same_value(top1.answers.first(), exact, 0, "top-1 vs exact");
+            assert_same_value(top1.answers.first(), exact, "top-1 vs exact");
             let approx = engine
                 .try_query_approximate(&q, 64, 7, &unlimited)
                 .expect("sampled query runs");
             if let Some(a) = &approx.answer {
                 check_answer(&ssn, &q, a).expect("sampled answer violates Definition 5");
                 let e = exact.expect("sampler answered where exact found nothing");
-                // The sampler prices users by sweeps from their homes,
-                // the exact verifier often by sweeps from the POIs (see
-                // `switch_rows`), so "beating" the optimum must exceed
-                // those few ulps.
                 assert!(
-                    a.maxdist.to_bits() + 4 >= e.maxdist.to_bits(),
+                    a.maxdist >= e.maxdist,
                     "sampled ({}) beat exact ({})",
                     a.maxdist,
                     e.maxdist
@@ -260,6 +255,42 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
     );
 }
 
+/// Top-1 and exact agree bit for bit on a larger corpus (Uni at scale
+/// 0.01). The two modes verify centers against different bounds, so
+/// they can price the optimum's distances through different sweeps —
+/// per-user rows in one, per-POI columns in the other. Before road
+/// lengths were grid values, one query of this corpus (user 139) got an
+/// optimum whose last bits differed between the modes.
+#[test]
+fn top_1_matches_exact_bitwise_at_scale_0_01() {
+    let seed = 1;
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), seed);
+    let engine = GpSsnEngine::build(&ssn, small_cfg(seed, None));
+    let unlimited = QueryBudget::unlimited();
+    let opts = QueryOptions::default();
+    let m = ssn.social().num_users() as u32;
+    let mut feasible = 0usize;
+    for i in 0..180u32 {
+        let q = GpSsnQuery {
+            user: (i * 7919 + 1) % m,
+            tau: 2 + i as usize % 3,
+            gamma: 0.3,
+            theta: 0.3,
+            radius: 1.0 + f64::from(i % 3),
+        };
+        let exact = engine
+            .try_query_with_options(&q, &opts, &unlimited)
+            .expect("exact query runs");
+        let top1 = engine
+            .try_query_top_k(&q, 1, &opts, &unlimited)
+            .expect("top-1 runs");
+        let what = format!("top-1 vs exact, {q:?}");
+        assert_same_value(top1.answers.first(), exact.answer.as_ref(), &what);
+        feasible += exact.answer.is_some() as usize;
+    }
+    assert!(feasible >= 150, "too few feasible cases: {feasible}");
+}
+
 #[test]
 fn ch_less_index_falls_back_to_dijkstra() {
     // An engine whose road index skipped CH construction still serves
@@ -275,7 +306,7 @@ fn ch_less_index_falls_back_to_dijkstra() {
         let b = full.query_with_options(&q, &backend_opts(DistanceBackend::Dijkstra));
         assert_bit_identical(&a.answer, &b.answer, "CH-less fallback vs Dijkstra");
         assert_eq!(
-            a.metrics.ch_batches, 0,
+            a.metrics.backend_served.ch_batches, 0,
             "a CH-less index cannot have served CH batches"
         );
     }
